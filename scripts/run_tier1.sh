@@ -7,9 +7,10 @@
 # lock-free cross-thread use — plus zslive's MPSC shard queues, epoch
 # snapshots, and SSE fanout) and under AddressSanitizer+UBSan (the
 # journal codec, the HTTP server, and the NDJSON feed parse external
-# bytes; the zsprof stack walk reads raw stack memory). Each sanitizer
-# leg ends with a 30-second zslived tap-demo soak under concurrent
-# curl clients.
+# bytes; the zsprof stack walk reads raw stack memory). Both legs also
+# run the detection engine's tests (realtime, zombie, differential).
+# Each sanitizer leg ends with a 30-second zslived tap-demo soak under
+# concurrent curl clients.
 #
 # Usage: scripts/run_tier1.sh [build-dir]   (default: build)
 
@@ -35,7 +36,12 @@ OBS_TARGETS="obs_test journal_test http_test prof_test benchdiff_test prof_compi
   heap_test heap_compileout_test lathist_test lathist_compileout_test \
   tsdb_test tsdb_compileout_test \
   causal_test causal_e2e_test causal_compileout_test live_test \
-  wire_test wirefault_test zswire zslived zstop"
+  wire_test wirefault_test realtime_test zombie_test differential_test \
+  zswire zslived zstop"
+# The ctest names those targets register: the obs/live/wire suites, plus
+# the detection engine (its deadline heap and the skipping of superseded
+# entries), the batch detector built on it, and the differential replay check.
+SANITIZER_TESTS='^(Obs|Wire)|^(RealTime|StateTracker|IntervalDetector|LongLived|Lifespan|NoisyPeers|Analyzer|RootCause|LookingGlass)\.|/Differential\.'
 
 # A 30-second zslived soak under the instrumented build: the tap demo
 # feeds a live simulation through the sharded service while curl
@@ -263,7 +269,7 @@ echo "== tier-1: obs tests under ThreadSanitizer (${TSAN_DIR})"
 cmake -B "${TSAN_DIR}" -S . -DZS_SANITIZE=thread
 # shellcheck disable=SC2086
 cmake --build "${TSAN_DIR}" -j --target ${OBS_TARGETS}
-ctest --test-dir "${TSAN_DIR}" --output-on-failure -R '^Obs|^Wire'
+ctest --test-dir "${TSAN_DIR}" --output-on-failure -R "${SANITIZER_TESTS}"
 soak_zslived "${TSAN_DIR}" "tsan"
 soak_bgp "${TSAN_DIR}" "tsan"
 
@@ -271,7 +277,7 @@ echo "== tier-1: obs tests under ASan+UBSan (${ASAN_DIR})"
 cmake -B "${ASAN_DIR}" -S . -DZS_SANITIZE=address,undefined
 # shellcheck disable=SC2086
 cmake --build "${ASAN_DIR}" -j --target ${OBS_TARGETS}
-ctest --test-dir "${ASAN_DIR}" --output-on-failure -R '^Obs|^Wire'
+ctest --test-dir "${ASAN_DIR}" --output-on-failure -R "${SANITIZER_TESTS}"
 soak_zslived "${ASAN_DIR}" "asan"
 soak_bgp "${ASAN_DIR}" "asan"
 

@@ -68,6 +68,28 @@ bool LoopbackLatencyClient::start() {
     fd_ = -1;
     return false;
   }
+  // The server places a subscriber's cursor at the channel head when it
+  // writes the response header; events published before that never
+  // reach this client. Return only once the 200 header is in, so every
+  // transition after start() is delivered.
+  std::string head;
+  char buf[4096];
+  for (int ticks = 0; head.find("\r\n\r\n") == std::string::npos;) {
+    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    const bool tick = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR);
+    if (n > 0) {
+      head.append(buf, static_cast<std::size_t>(n));
+    } else if (!tick || ++ticks > 50) {  // closed, failed, or silent for ~5 s
+      break;
+    }
+  }
+  if (head.find("\r\n\r\n") == std::string::npos || !head.starts_with("HTTP/1.1 200")) {
+    ::close(fd_);
+    fd_ = -1;
+    return false;
+  }
+  bytes_.fetch_add(head.size(), std::memory_order_relaxed);
+  scan(head.data(), head.size());  // the first events may share the segment
   stop_.store(false, std::memory_order_relaxed);
   thread_ = std::thread([this] { reader_loop(); });
   return true;

@@ -42,8 +42,10 @@ class LoopbackLatencyClient {
   LoopbackLatencyClient(const LoopbackLatencyClient&) = delete;
   LoopbackLatencyClient& operator=(const LoopbackLatencyClient&) = delete;
 
-  /// Connects and spawns the reader thread. Returns false if the
-  /// connection could not be established (no thread started).
+  /// Connects, waits for the 200 response header (from then on the
+  /// server delivers every published event), and spawns the reader
+  /// thread. Returns false if the subscription could not be established
+  /// within ~5 s (no thread started).
   bool start();
   /// Shuts the socket down and joins the reader. Idempotent.
   void stop();

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <chrono>
 #include <mutex>
-#include <queue>
 #include <stdexcept>
 #include <tuple>
 #include <variant>
@@ -98,6 +97,26 @@ std::string transition_json(std::string_view type, const netbase::Prefix& prefix
   }
   out += '}';
   return out;
+}
+
+/// Journals one route transition under category `Cat`.
+template <std::uint32_t Cat>
+void journal_route(JournalEventType type, const netbase::Prefix& prefix,
+                   const zombie::PeerKey& peer, netbase::TimePoint at, std::int64_t a,
+                   std::int64_t b) {
+  Journal& journal = Journal::global();
+  if (!journal.enabled(Cat)) return;
+  JournalEvent ev;
+  ev.type = type;
+  ev.time = at;
+  ev.has_prefix = true;
+  ev.prefix = prefix;
+  ev.has_peer = true;
+  ev.peer_asn = peer.asn;
+  ev.peer_address = peer.address;
+  ev.a = a;
+  ev.b = b;
+  journal.emit<Cat>(ev);
 }
 
 }  // namespace
@@ -363,7 +382,6 @@ void LiveService::worker_loop(std::size_t shard) {
   // transition callbacks below embed it in the SSE JSON so a loopback
   // subscriber can compute end-to-end delivery latency.
   std::uint64_t cur_ingest_ns = 0;
-  auto& journal = Journal::global();
   const netbase::Duration threshold = config_.detector.threshold;
   // Worker-private peer-quality accumulator (live/peerq.hpp) — same
   // ownership story as the detector, shared only via snapshots.
@@ -372,43 +390,28 @@ void LiveService::worker_loop(std::size_t shard) {
   std::uint64_t peerq_epoch = 0;
   auto last_peerq_pub = SteadyClock::now();
 
-  // Expect events are buffered and handed to the detector in stream
-  // order, not registration order: the detector keeps one watch per
-  // prefix and a new expect() supersedes the old one (prefix recycled),
-  // so registering a whole beacon schedule upfront would wipe every
-  // cycle's watch except the last before its deadline could fire. Each
-  // event is released only once the shard's stream time reaches its
-  // announce_time, after advancing the detector there so the previous
-  // cycle's deadline fires first.
-  struct PendingExpect {
-    beacon::BeaconEvent event;
-    std::uint64_t seq = 0;  // registration order breaks announce_time ties
-  };
-  const auto later = [](const PendingExpect& a, const PendingExpect& b) {
-    if (a.event.announce_time != b.event.announce_time)
-      return a.event.announce_time > b.event.announce_time;
-    return a.seq > b.seq;
-  };
-  std::priority_queue<PendingExpect, std::vector<PendingExpect>, decltype(later)>
-      pending(later);
-  std::uint64_t pending_seq = 0;
+  // Expect events are held back and handed to the detector in stream
+  // order (zombie::ExpectQueue); peerq mirrors the detector exactly: the
+  // cycle opens where the watch does, and superseded events are skipped
+  // inside on_expect — the closed-cycle sum is the batch announcement
+  // denominator.
+  zombie::ExpectQueue expects;
+  zombie::ExpectQueue::OnRelease mirror_peerq;
+  if (peerq_on) {
+    mirror_peerq = [&](const beacon::BeaconEvent& event, std::size_t) {
+      peerq.advance(event.announce_time);
+      peerq.on_expect(event, threshold);
+    };
+  }
   const auto deliver_expects_until = [&](netbase::TimePoint t) {
-    while (!pending.empty() && pending.top().event.announce_time <= t) {
-      const beacon::BeaconEvent event = pending.top().event;
-      pending.pop();
-      detector.advance(event.announce_time);
-      detector.expect(event);
-      if (peerq_on) {
-        // Mirror the detector exactly: the cycle opens where the watch
-        // does, and superseded events are skipped inside on_expect —
-        // the closed-cycle sum is the batch announcement denominator.
-        peerq.advance(event.announce_time);
-        peerq.on_expect(event, threshold);
-      }
-    }
+    expects.release_until(t, detector, mirror_peerq);
   };
 
   detector.on_alert([&](const zombie::ZombieAlert& alert) {
+    // The detector does not journal; its transitions are recorded here.
+    journal_route<obs::kCatDetector>(JournalEventType::kZombieDeclared, alert.prefix,
+                                     alert.peer, alert.raised_at, threshold,
+                                     alert.withdrawn_at);
     // The deadline check always stamps raised_at = withdrawn_at +
     // threshold; anything later is a route that came back *after* the
     // interval had already passed clean — live-only, excluded from the
@@ -427,20 +430,11 @@ void LiveService::worker_loop(std::size_t shard) {
       if (peerq_on) peerq.on_stuck(alert);
     }
     m_transitions_.inc();
-    if (journal.enabled(obs::kCatLive)) {
-      JournalEvent ev;
-      ev.type = resurrect ? JournalEventType::kLiveZombieResurrected
-                          : JournalEventType::kLiveZombieEmerged;
-      ev.time = alert.raised_at;
-      ev.has_prefix = true;
-      ev.prefix = alert.prefix;
-      ev.has_peer = true;
-      ev.peer_asn = alert.peer.asn;
-      ev.peer_address = alert.peer.address;
-      ev.a = resurrect ? alert.raised_at : threshold;
-      ev.b = alert.withdrawn_at;
-      journal.emit<obs::kCatLive>(ev);
-    }
+    journal_route<obs::kCatLive>(resurrect ? JournalEventType::kLiveZombieResurrected
+                                           : JournalEventType::kLiveZombieEmerged,
+                                 alert.prefix, alert.peer, alert.raised_at,
+                                 resurrect ? alert.raised_at : threshold,
+                                 alert.withdrawn_at);
     events_.publish(resurrect ? "resurrect" : "emerge",
                     transition_json(resurrect ? "resurrect" : "emerge",
                                     alert.prefix, alert.peer,
@@ -452,25 +446,18 @@ void LiveService::worker_loop(std::size_t shard) {
     ++died_n;
     resurrected_keys.erase({resolution.prefix, resolution.peer});
     m_transitions_.inc();
-    if (journal.enabled(obs::kCatLive)) {
-      JournalEvent ev;
-      ev.type = JournalEventType::kLiveZombieDied;
-      ev.time = resolution.resolved_at;
-      ev.has_prefix = true;
-      ev.prefix = resolution.prefix;
-      ev.has_peer = true;
-      ev.peer_asn = resolution.peer.asn;
-      ev.peer_address = resolution.peer.address;
-      ev.a = resolution.withdrawn_at;
-      ev.b = resolution.stuck_for();
-      journal.emit<obs::kCatLive>(ev);
-    }
+    journal_route<obs::kCatLive>(JournalEventType::kLiveZombieDied, resolution.prefix,
+                                 resolution.peer, resolution.resolved_at,
+                                 resolution.withdrawn_at, resolution.stuck_for());
     events_.publish("die", transition_json("die", resolution.prefix,
                                            resolution.peer,
                                            resolution.withdrawn_at,
                                            resolution.resolved_at,
                                            resolution.stuck_for(),
                                            cur_ingest_ns));
+    journal_route<obs::kCatDetector>(JournalEventType::kZombieCleared, resolution.prefix,
+                                     resolution.peer, resolution.resolved_at, threshold,
+                                     resolution.withdrawn_at);
     dirty = true;
   });
 
@@ -528,7 +515,7 @@ void LiveService::worker_loop(std::size_t shard) {
     cur_ingest_ns = steady_ns(item.ingest);
     switch (item.kind) {
       case ShardItem::Kind::kExpect:
-        pending.push({item.event, pending_seq++});
+        expects.push(item.event);
         deliver_expects_until(clock);  // late registration: already due
         break;
       case ShardItem::Kind::kAdvance:

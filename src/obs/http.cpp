@@ -529,6 +529,10 @@ void HttpServer::accept_ready() {
       ::close(fd);
       continue;
     }
+    // SSE frames are small writes on a long-lived stream; without
+    // TCP_NODELAY Nagle holds each one until the previous is acked.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto* c = new Conn;
     c->fd = fd;
     c->read_deadline =

@@ -221,10 +221,12 @@ class FrameReader {
   /// are needed. Throws WireError on a malformed header.
   std::optional<std::vector<std::uint8_t>> next();
 
-  std::size_t buffered() const { return buffer_.size(); }
+  std::size_t buffered() const { return buffer_.size() - consumed_; }
 
  private:
   std::vector<std::uint8_t> buffer_;
+  /// Bytes at the front of buffer_ already returned by next().
+  std::size_t consumed_ = 0;
 };
 
 }  // namespace zombiescope::wire

@@ -88,7 +88,7 @@ IntervalDetectionResult IntervalZombieDetector::detect(
       ++scan;
       if (const auto* msg = std::get_if<mrt::Bgp4mpMessage>(&record)) {
         const PeerKey peer{msg->peer_asn, msg->peer_address};
-        if (peer_excluded(peer)) continue;
+        if (config_.excludes(peer)) continue;
         for (const auto& prefix : msg->update.withdrawn) {
           auto it = beacon_of.find(prefix);
           if (it == beacon_of.end() || t > it->second->withdraw_time + config_.threshold)

@@ -24,13 +24,9 @@
 
 namespace zombiescope::zombie {
 
-struct IntervalDetectorConfig {
+struct IntervalDetectorConfig : PeerFilter {
   /// Stuck threshold after the withdrawal (the paper: 90 minutes).
   netbase::Duration threshold = 90 * netbase::kMinute;
-  /// Peer sessions to ignore entirely (noisy peers).
-  std::set<PeerKey> excluded_peers;
-  /// Exclude whole peer ASes (the paper excludes AS16347).
-  std::set<bgp::Asn> excluded_peer_asns;
 };
 
 struct IntervalDetectionResult {
@@ -77,11 +73,6 @@ class IntervalZombieDetector {
                                  std::span<const beacon::BeaconEvent> events) const;
 
  private:
-  bool peer_excluded(const PeerKey& peer) const {
-    return config_.excluded_peers.contains(peer) ||
-           config_.excluded_peer_asns.contains(peer.asn);
-  }
-
   IntervalDetectorConfig config_;
 };
 

@@ -1,10 +1,12 @@
 #include "zombie/longlived.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "obs/journal.hpp"
 #include "obs/trace.hpp"
 #include "zombie/detector_metrics.hpp"
+#include "zombie/realtime.hpp"
 
 namespace zombiescope::zombie {
 
@@ -15,12 +17,6 @@ using internal::detector_metrics;
 using netbase::Duration;
 using netbase::Prefix;
 using netbase::TimePoint;
-
-struct LastUpdate {
-  bool announced = false;
-  bgp::AsPath path;
-  TimePoint at = 0;
-};
 
 }  // namespace
 
@@ -33,116 +29,78 @@ LongLivedResult LongLivedZombieDetector::detect(
   metrics.records_scanned.inc(records.size());
   LongLivedResult result;
 
-  // Studied events per prefix, sorted by announce time. Beacon prefixes
-  // recycle no faster than daily, and threshold windows are a few
-  // hours, so windows of the same prefix never overlap.
-  std::map<Prefix, std::vector<const beacon::BeaconEvent*>> by_prefix;
+  RealTimeZombieDetector engine(RealTimeConfig{config_, threshold});
+
+  ExpectQueue expects;
   std::vector<const beacon::BeaconEvent*> studied;
+  TimePoint last_deadline = 0;
   for (const auto& event : events) {
-    if (config_.skip_superseded && event.superseded) continue;
-    by_prefix[event.prefix].push_back(&event);
+    if (event.superseded) continue;
+    expects.push(event);
     studied.push_back(&event);
-  }
-  for (auto& [prefix, list] : by_prefix) {
-    (void)prefix;
-    std::sort(list.begin(), list.end(), [](const auto* a, const auto* b) {
-      return a->announce_time < b->announce_time;
-    });
+    last_deadline = std::max(last_deadline, event.withdraw_time + threshold);
   }
   result.total_announcements = static_cast<int>(studied.size());
 
-  // Find the event whose check window [announce, withdraw+threshold]
-  // contains t.
-  auto active_event = [&](const Prefix& prefix, TimePoint t) -> const beacon::BeaconEvent* {
-    auto it = by_prefix.find(prefix);
-    if (it == by_prefix.end()) return nullptr;
-    const auto& list = it->second;
-    auto jt = std::upper_bound(list.begin(), list.end(), t,
-                               [](TimePoint value, const beacon::BeaconEvent* e) {
-                                 return value < e->announce_time;
-                               });
-    if (jt == list.begin()) return nullptr;
-    const beacon::BeaconEvent* event = *(jt - 1);
-    return t <= event->withdraw_time + threshold ? event : nullptr;
+  // The engine keeps one watch per prefix, so an alert belongs to the
+  // event released last for its prefix.
+  std::map<Prefix, std::size_t> watching;
+  const ExpectQueue::OnRelease on_release = [&](const beacon::BeaconEvent& event,
+                                                std::size_t ticket) {
+    watching[event.prefix] = ticket;
   };
-
-  // Fold the stream.
-  std::map<const beacon::BeaconEvent*, std::map<PeerKey, LastUpdate>> table;
+  std::vector<std::vector<ZombieRoute>> stuck(studied.size());
+  engine.on_alert([&](const ZombieAlert& alert) {
+    // Only the deadline check is the stuck rule's verdict; a later
+    // alert is a route announced again after a clean deadline.
+    if (alert.raised_at != alert.withdrawn_at + threshold) return;
+    const std::size_t ticket = watching.at(alert.prefix);
+    const beacon::BeaconEvent& event = *studied[ticket];
+    ZombieRoute route;
+    route.peer = alert.peer;
+    route.prefix = event.prefix;
+    route.interval_start = event.announce_time;
+    route.withdraw_time = event.withdraw_time;
+    route.path = alert.stuck_path;
+    stuck[ticket].push_back(std::move(route));
+  });
   for (const auto& record : records) {
-    if (const auto* msg = std::get_if<mrt::Bgp4mpMessage>(&record)) {
-      const PeerKey peer{msg->peer_asn, msg->peer_address};
-      if (peer_excluded(peer)) continue;
-      const TimePoint t = msg->timestamp;
-      for (const auto& prefix : msg->update.withdrawn) {
-        const auto* event = active_event(prefix, t);
-        if (event == nullptr) continue;
-        LastUpdate& last = table[event][peer];
-        last.announced = false;
-        last.at = t;
-      }
-      for (const auto& prefix : msg->update.announced) {
-        const auto* event = active_event(prefix, t);
-        if (event == nullptr) continue;
-        LastUpdate& last = table[event][peer];
-        last.announced = true;
-        last.path = msg->update.attributes.as_path;
-        last.at = t;
-      }
-    } else if (const auto* state = std::get_if<mrt::Bgp4mpStateChange>(&record)) {
-      if (state->old_state == bgp::SessionState::kEstablished &&
-          state->new_state != bgp::SessionState::kEstablished) {
-        const PeerKey peer{state->peer_asn, state->peer_address};
-        const TimePoint t = state->timestamp;
-        // Clear the peer from every window that is active at t.
-        for (auto& [event, peers] : table) {
-          if (t < event->announce_time || t > event->withdraw_time + threshold) continue;
-          auto it = peers.find(peer);
-          if (it != peers.end() && it->second.announced) {
-            it->second.announced = false;
-            it->second.at = t;
-          }
-        }
-      }
-    }
+    expects.release_until(mrt::record_timestamp(record), engine, on_release);
+    engine.ingest(record);
   }
+  expects.release_until(last_deadline, engine, on_release);
+  engine.advance(last_deadline);
+  metrics.candidates.inc(static_cast<std::uint64_t>(engine.alerts_raised()));
 
-  // Assemble outbreaks.
-  for (const beacon::BeaconEvent* event : studied) {
-    auto it = table.find(event);
-    if (it == table.end()) continue;
-    metrics.candidates.inc(it->second.size());
-    ZombieOutbreak outbreak;
-    outbreak.prefix = event->prefix;
-    outbreak.interval_start = event->announce_time;
-    outbreak.withdraw_time = event->withdraw_time;
-    for (const auto& [peer, last] : it->second) {
-      if (!last.announced) continue;
-      ZombieRoute route;
-      route.peer = peer;
-      route.prefix = event->prefix;
-      route.interval_start = event->announce_time;
-      route.withdraw_time = event->withdraw_time;
-      route.path = last.path;
-      obs::Journal& journal = obs::Journal::global();
-      if (journal.enabled(obs::kCatDetector)) {
+  // Assemble outbreaks in event order, routes in peer order.
+  obs::Journal& journal = obs::Journal::global();
+  for (std::size_t i = 0; i < studied.size(); ++i) {
+    if (stuck[i].empty()) continue;
+    const beacon::BeaconEvent& event = *studied[i];
+    if (journal.enabled(obs::kCatDetector)) {
+      for (const ZombieRoute& route : stuck[i]) {
         obs::JournalEvent ev;
-        ev.time = event->withdraw_time + threshold;
+        ev.time = event.withdraw_time + threshold;
         ev.has_prefix = true;
-        ev.prefix = event->prefix;
+        ev.prefix = event.prefix;
         ev.has_peer = true;
-        ev.peer_asn = peer.asn;
-        ev.peer_address = peer.address;
+        ev.peer_asn = route.peer.asn;
+        ev.peer_address = route.peer.address;
         ev.a = threshold;
-        ev.b = event->withdraw_time;
-        ev.c = event->announce_time;
+        ev.b = event.withdraw_time;
+        ev.c = event.announce_time;
         ev.type = obs::JournalEventType::kThresholdCrossed;
         journal.emit<obs::kCatDetector>(ev);
         ev.type = obs::JournalEventType::kZombieDeclared;
         journal.emit<obs::kCatDetector>(ev);
       }
-      outbreak.routes.push_back(std::move(route));
     }
-    if (!outbreak.routes.empty()) result.outbreaks.push_back(std::move(outbreak));
+    ZombieOutbreak outbreak;
+    outbreak.prefix = event.prefix;
+    outbreak.interval_start = event.announce_time;
+    outbreak.withdraw_time = event.withdraw_time;
+    outbreak.routes = std::move(stuck[i]);
+    result.outbreaks.push_back(std::move(outbreak));
   }
   metrics.outbreaks.inc(result.outbreaks.size());
   metrics.routes.inc(static_cast<std::uint64_t>(result.route_count()));
@@ -175,7 +133,7 @@ std::vector<OutbreakLifespan> LifespanAnalyzer::analyze(
   // Final withdrawal time per studied prefix.
   std::map<Prefix, TimePoint> final_withdrawal;
   for (const auto& event : events) {
-    if (config_.skip_superseded && event.superseded) continue;
+    if (event.superseded) continue;
     auto [it, inserted] = final_withdrawal.try_emplace(event.prefix, event.withdraw_time);
     if (!inserted) it->second = std::max(it->second, event.withdraw_time);
   }
@@ -202,7 +160,7 @@ std::vector<OutbreakLifespan> LifespanAnalyzer::analyze(
       if (entry.peer_index >= current_index.peers.size()) continue;
       const auto& dir = current_index.peers[entry.peer_index];
       const PeerKey peer{dir.asn, dir.address};
-      if (peer_excluded(peer)) continue;
+      if (config_.excludes(peer)) continue;
       sightings[rib->prefix][peer].push_back({rib->timestamp, entry.attributes.as_path});
     }
   }

@@ -11,9 +11,6 @@
 
 #pragma once
 
-#include <map>
-#include <optional>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -23,13 +20,9 @@
 
 namespace zombiescope::zombie {
 
-struct LongLivedConfig {
-  std::set<PeerKey> excluded_peers;
-  std::set<bgp::Asn> excluded_peer_asns;
-  /// Skip beacon events flagged superseded (approach-2 collision rule:
-  /// "we study only the latter prefix").
-  bool skip_superseded = true;
-};
+/// Both passes skip beacon events flagged superseded (approach-2
+/// collision rule: "we study only the latter prefix").
+using LongLivedConfig = PeerFilter;
 
 /// Result of one detection pass at a fixed threshold.
 struct LongLivedResult {
@@ -60,7 +53,9 @@ class LongLivedZombieDetector {
   explicit LongLivedZombieDetector(LongLivedConfig config) : config_(std::move(config)) {}
 
   /// Detects zombies at a fixed threshold after each beacon's
-  /// withdrawal. `records` must be time-sorted.
+  /// withdrawal: drives a RealTimeZombieDetector over the archive and
+  /// keeps the alerts its deadline checks raise. `records` must be
+  /// time-sorted.
   LongLivedResult detect(std::span<const mrt::MrtRecord> records,
                          std::span<const beacon::BeaconEvent> events,
                          netbase::Duration threshold) const;
@@ -71,11 +66,6 @@ class LongLivedZombieDetector {
                                 std::span<const netbase::Duration> thresholds) const;
 
  private:
-  bool peer_excluded(const PeerKey& peer) const {
-    return config_.excluded_peers.contains(peer) ||
-           config_.excluded_peer_asns.contains(peer.asn);
-  }
-
   LongLivedConfig config_;
 };
 
@@ -128,11 +118,6 @@ class LifespanAnalyzer {
                                         netbase::Duration dump_interval) const;
 
  private:
-  bool peer_excluded(const PeerKey& peer) const {
-    return config_.excluded_peers.contains(peer) ||
-           config_.excluded_peer_asns.contains(peer.asn);
-  }
-
   LongLivedConfig config_;
 };
 

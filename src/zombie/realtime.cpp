@@ -1,30 +1,6 @@
 #include "zombie/realtime.hpp"
 
-#include "obs/journal.hpp"
-
 namespace zombiescope::zombie {
-
-namespace {
-
-void journal_transition(obs::JournalEventType type, const netbase::Prefix& prefix,
-                        const PeerKey& peer, netbase::TimePoint at,
-                        netbase::Duration threshold, netbase::TimePoint withdrawn_at) {
-  obs::Journal& journal = obs::Journal::global();
-  if (!journal.enabled(obs::kCatDetector)) return;
-  obs::JournalEvent ev;
-  ev.type = type;
-  ev.time = at;
-  ev.has_prefix = true;
-  ev.prefix = prefix;
-  ev.has_peer = true;
-  ev.peer_asn = peer.asn;
-  ev.peer_address = peer.address;
-  ev.a = threshold;
-  ev.b = withdrawn_at;
-  journal.emit<obs::kCatDetector>(ev);
-}
-
-}  // namespace
 
 void RealTimeZombieDetector::expect(const beacon::BeaconEvent& event) {
   if (event.superseded) return;
@@ -32,76 +8,74 @@ void RealTimeZombieDetector::expect(const beacon::BeaconEvent& event) {
   // watch had raised is resolved at the recycle instant: the fresh
   // announcement replaces the stuck route, so the route is no longer
   // stale even though no withdrawal ever cleared it.
-  auto it = watches_.find(event.prefix);
-  if (it != watches_.end()) {
-    for (auto& [peer, state] : it->second.peers) {
-      (void)state;
-      resolve(it->second, peer, event.announce_time);
-    }
+  Watch& watch = watches_[event.prefix];
+  for (const auto& [peer, state] : watch.peers) {
+    (void)state;
+    resolve(watch, peer, event.announce_time);
   }
-  Watch watch;
+  watch = Watch{};
   watch.event = event;
-  watches_[event.prefix] = std::move(watch);
+  watch.id = next_watch_id_++;
+  deadlines_.emplace(event.withdraw_time + config_.threshold, event.prefix, watch.id);
 }
 
 void RealTimeZombieDetector::resolve(Watch& watch, const PeerKey& peer,
                                      netbase::TimePoint at) {
   auto it = watch.peers.find(peer);
   if (it == watch.peers.end()) return;
-  if (it->second.alerted && resolution_fn_) {
-    ZombieResolution resolution;
-    resolution.prefix = watch.event.prefix;
-    resolution.peer = peer;
-    resolution.withdrawn_at = watch.event.withdraw_time;
-    resolution.resolved_at = at;
-    resolution_fn_(resolution);
-  }
   if (it->second.alerted) {
     ++resolutions_;
-    journal_transition(obs::JournalEventType::kZombieCleared, watch.event.prefix,
-                       peer, at, config_.threshold, watch.event.withdraw_time);
+    if (resolution_fn_) {
+      ZombieResolution resolution;
+      resolution.prefix = watch.event.prefix;
+      resolution.peer = peer;
+      resolution.withdrawn_at = watch.event.withdraw_time;
+      resolution.resolved_at = at;
+      resolution_fn_(resolution);
+    }
   }
   it->second.announced = false;
   it->second.alerted = false;
 }
 
-void RealTimeZombieDetector::fire_deadline(Watch& watch) {
-  if (watch.deadline_fired) return;
-  watch.deadline_fired = true;
-  for (auto& [peer, state] : watch.peers) {
-    if (!state.announced || state.alerted) continue;
-    state.alerted = true;
-    ++alerts_raised_;
-    journal_transition(obs::JournalEventType::kZombieDeclared, watch.event.prefix,
-                       peer, watch.event.withdraw_time + config_.threshold,
-                       config_.threshold, watch.event.withdraw_time);
-    if (alert_fn_) {
-      ZombieAlert alert;
-      alert.prefix = watch.event.prefix;
-      alert.peer = peer;
-      alert.withdrawn_at = watch.event.withdraw_time;
-      alert.raised_at = watch.event.withdraw_time + config_.threshold;
-      alert.stuck_path = state.path;
-      alert_fn_(alert);
+void RealTimeZombieDetector::raise(const Watch& watch, const PeerKey& peer,
+                                   Watch::PeerState& state, netbase::TimePoint at) {
+  state.alerted = true;
+  ++alerts_raised_;
+  if (!alert_fn_) return;
+  ZombieAlert alert;
+  alert.prefix = watch.event.prefix;
+  alert.peer = peer;
+  alert.withdrawn_at = watch.event.withdraw_time;
+  alert.raised_at = at;
+  alert.stuck_path = state.path;
+  alert_fn_(alert);
+}
+
+void RealTimeZombieDetector::fire_due(netbase::TimePoint last) {
+  while (!deadlines_.empty() && std::get<0>(deadlines_.top()) <= last) {
+    const auto [deadline, prefix, id] = deadlines_.top();
+    deadlines_.pop();
+    auto it = watches_.find(prefix);
+    if (it == watches_.end() || it->second.id != id) continue;  // superseded
+    Watch& watch = it->second;
+    watch.deadline_fired = true;
+    for (auto& [peer, state] : watch.peers) {
+      if (state.announced && !state.alerted) raise(watch, peer, state, deadline);
     }
   }
 }
 
-void RealTimeZombieDetector::advance(netbase::TimePoint now) {
-  now_ = std::max(now_, now);
-  for (auto& [prefix, watch] : watches_) {
-    (void)prefix;
-    if (!watch.deadline_fired && now_ >= watch.event.withdraw_time + config_.threshold)
-      fire_deadline(watch);
-  }
-}
+void RealTimeZombieDetector::advance(netbase::TimePoint now) { fire_due(now); }
 
 void RealTimeZombieDetector::ingest(const mrt::MrtRecord& record) {
-  advance(mrt::record_timestamp(record));
+  // Timestamps are whole seconds: a record stamped t still counts
+  // towards a deadline at t.
+  fire_due(mrt::record_timestamp(record) - 1);
 
   if (const auto* msg = std::get_if<mrt::Bgp4mpMessage>(&record)) {
     const PeerKey peer{msg->peer_asn, msg->peer_address};
-    if (excluded(peer)) return;
+    if (config_.excludes(peer)) return;
     const netbase::TimePoint t = msg->timestamp;
     for (const auto& prefix : msg->update.withdrawn) {
       auto it = watches_.find(prefix);
@@ -117,21 +91,7 @@ void RealTimeZombieDetector::ingest(const mrt::MrtRecord& record) {
       state.path = msg->update.attributes.as_path;
       // A (re)announcement after the deadline: the route is stuck or
       // resurrected — alert immediately.
-      if (watch.deadline_fired && !state.alerted) {
-        state.alerted = true;
-        ++alerts_raised_;
-        journal_transition(obs::JournalEventType::kZombieDeclared, prefix, peer, t,
-                           config_.threshold, watch.event.withdraw_time);
-        if (alert_fn_) {
-          ZombieAlert alert;
-          alert.prefix = prefix;
-          alert.peer = peer;
-          alert.withdrawn_at = watch.event.withdraw_time;
-          alert.raised_at = t;
-          alert.stuck_path = state.path;
-          alert_fn_(alert);
-        }
-      }
+      if (watch.deadline_fired && !state.alerted) raise(watch, peer, state, t);
     }
     return;
   }
@@ -161,6 +121,17 @@ std::vector<ZombieAlert> RealTimeZombieDetector::active_zombies() const {
     }
   }
   return out;
+}
+
+void ExpectQueue::release_until(netbase::TimePoint t, RealTimeZombieDetector& detector,
+                                const OnRelease& on_release) {
+  while (!pending_.empty() && pending_.begin()->first.first <= t) {
+    const auto next = pending_.extract(pending_.begin());
+    const auto [announce_time, ticket] = next.key();
+    detector.advance(announce_time - 1);
+    detector.expect(next.mapped());
+    if (on_release) on_release(next.mapped(), ticket);
+  }
 }
 
 }  // namespace zombiescope::zombie

@@ -4,6 +4,7 @@
 
 #include <compare>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,18 @@ struct PeerKey {
 };
 
 std::string to_string(const PeerKey& peer);
+
+/// Peers whose updates a detector ignores: single peer routers (the
+/// noisy peers) or every router of a peer AS (the paper excludes
+/// AS16347). Detector configs derive from it.
+struct PeerFilter {
+  std::set<PeerKey> excluded_peers;
+  std::set<bgp::Asn> excluded_peer_asns;
+
+  bool excludes(const PeerKey& peer) const {
+    return excluded_peers.contains(peer) || excluded_peer_asns.contains(peer.asn);
+  }
+};
 
 /// One stuck route: a ⟨beacon, interval, peer⟩ triple whose last
 /// in-interval update at check time was an announcement.

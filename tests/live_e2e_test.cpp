@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -65,6 +66,88 @@ PairSet live_pairs(const scenarios::LongLived2024Output& out,
   auto pairs = service.emerged_pairs();
   service.stop();
   return pairs;
+}
+
+// --- Records stamped exactly at a deadline D = withdraw + threshold --------
+
+mrt::Bgp4mpMessage update(TimePoint t, const PeerKey& peer, const Prefix& prefix,
+                          bool announced) {
+  mrt::Bgp4mpMessage m;
+  m.timestamp = t;
+  m.peer_asn = peer.asn;
+  m.peer_address = peer.address;
+  m.local_asn = 12654;
+  m.local_address = netbase::IpAddress::parse("193.0.4.28");
+  if (announced) {
+    m.update.announced.push_back(prefix);
+    m.update.attributes.as_path = bgp::AsPath{peer.asn, 25091, 210312};
+    m.update.attributes.next_hop = peer.address;
+  } else {
+    m.update.withdrawn.push_back(prefix);
+  }
+  return m;
+}
+
+PairSet live_pairs(const std::vector<mrt::MrtRecord>& records,
+                   const std::vector<beacon::BeaconEvent>& events,
+                   netbase::Duration threshold, std::size_t shards) {
+  scenarios::LongLived2024Output out;
+  out.updates = records;
+  out.events = events;
+  return live_pairs(out, threshold, shards, /*speed=*/0.0);
+}
+
+PairSet batch_pairs(const std::vector<mrt::MrtRecord>& records,
+                    const std::vector<beacon::BeaconEvent>& events,
+                    netbase::Duration threshold) {
+  scenarios::LongLived2024Output out;
+  out.updates = records;
+  out.events = events;
+  return batch_pairs(out, threshold);
+}
+
+struct DeadlineTie {
+  static constexpr netbase::Duration kThreshold = 90 * netbase::kMinute;
+  const TimePoint announce = netbase::utc(2024, 6, 4, 12, 0, 0);
+  const TimePoint withdraw = announce + 15 * netbase::kMinute;
+  const TimePoint deadline = withdraw + kThreshold;
+  const Prefix beacon = Prefix::parse("2a0d:3dc1:1200::/48");
+  const PeerKey a{64500, netbase::IpAddress::parse("192.0.2.1")};
+  const PeerKey b{64501, netbase::IpAddress::parse("192.0.2.2")};
+  std::vector<beacon::BeaconEvent> events{{beacon, announce, withdraw, false}};
+  // a withdraws exactly at the deadline: in time. b withdraws late.
+  std::vector<mrt::MrtRecord> records{
+      update(announce + 10, a, beacon, true),
+      update(announce + 10, b, beacon, true),
+      update(deadline, a, beacon, false),
+      update(deadline + 10, b, beacon, false),
+  };
+};
+
+TEST(LiveDeadlineTie, WithdrawalAtTheDeadlineMatchesBatch) {
+  const DeadlineTie tie;
+  const PairSet batch = batch_pairs(tie.records, tie.events, DeadlineTie::kThreshold);
+  EXPECT_EQ(batch, (PairSet{{tie.beacon, tie.b}}));
+  EXPECT_EQ(live_pairs(tie.records, tie.events, DeadlineTie::kThreshold, 2), batch);
+}
+
+TEST(LiveDeadlineTie, AnotherPrefixAnnouncedAtTheDeadlineMatchesBatch) {
+  // A second beacon on the same shard is announced at the first one's
+  // deadline. Releasing it there must not fire that deadline before the
+  // withdrawal stamped at the same instant applies.
+  DeadlineTie tie;
+  Prefix other;
+  for (int slot = 1215;; ++slot) {
+    other = Prefix::parse("2a0d:3dc1:" + std::to_string(slot) + "::/48");
+    if (shard_for(other, 2) == shard_for(tie.beacon, 2)) break;
+  }
+  tie.events.push_back({other, tie.deadline, tie.deadline + 15 * netbase::kMinute, false});
+  tie.records.insert(tie.records.begin() + 2, update(tie.deadline, tie.a, other, true));
+  const PairSet batch = batch_pairs(tie.records, tie.events, DeadlineTie::kThreshold);
+  PairSet want{{tie.beacon, tie.b}, {other, tie.a}};
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(batch, want);
+  EXPECT_EQ(live_pairs(tie.records, tie.events, DeadlineTie::kThreshold, 2), batch);
 }
 
 class LiveE2E : public ::testing::Test {

@@ -172,6 +172,110 @@ TEST(RealTime, MessagesBeforeAnnounceTimeIgnored) {
   EXPECT_TRUE(h.alerts.empty());
 }
 
+// --- Records stamped exactly at the deadline D = withdraw + threshold ------
+// The stuck rule reads the last update *at* D, so such a record applies
+// before the deadline check fires.
+
+TEST(RealTime, WithdrawalAtTheDeadlineInstantIsInTime) {
+  Harness h;
+  const auto t0 = utc(2024, 6, 4, 12, 0, 0);
+  const auto deadline = t0 + 15 * kMinute + 90 * kMinute;
+  h.detector.expect(event_at(t0));
+  h.detector.ingest(announce(t0 + 10, peer_a(), kBeacon));
+  h.detector.ingest(withdraw(deadline, peer_a(), kBeacon));
+  h.detector.advance(deadline + kHour);
+  EXPECT_TRUE(h.alerts.empty());
+  EXPECT_TRUE(h.resolutions.empty());
+}
+
+TEST(RealTime, SessionDownAtTheDeadlineInstantIsInTime) {
+  Harness h;
+  const auto t0 = utc(2024, 6, 4, 12, 0, 0);
+  const auto deadline = t0 + 15 * kMinute + 90 * kMinute;
+  h.detector.expect(event_at(t0));
+  h.detector.ingest(announce(t0 + 10, peer_a(), kBeacon));
+  mrt::Bgp4mpStateChange drop;
+  drop.timestamp = deadline;
+  drop.peer_asn = peer_a().asn;
+  drop.peer_address = peer_a().address;
+  drop.old_state = bgp::SessionState::kEstablished;
+  drop.new_state = bgp::SessionState::kIdle;
+  h.detector.ingest(drop);
+  h.detector.advance(deadline + kHour);
+  EXPECT_TRUE(h.alerts.empty());
+  EXPECT_TRUE(h.resolutions.empty());
+}
+
+TEST(RealTime, AnnouncementAtTheDeadlineInstantIsStuckWithItsPath) {
+  // The route is still announced at D, and its path at D is the one the
+  // record stamped D carries: the deadline check reports that path.
+  Harness h;
+  const auto t0 = utc(2024, 6, 4, 12, 0, 0);
+  const auto deadline = t0 + 15 * kMinute + 90 * kMinute;
+  h.detector.expect(event_at(t0));
+  h.detector.ingest(announce(t0 + 10, peer_a(), kBeacon));
+  auto repath = announce(deadline, peer_a(), kBeacon);
+  repath.update.attributes.as_path = bgp::AsPath{peer_a().asn, 4637, 1299, 210312};
+  h.detector.ingest(repath);
+  EXPECT_TRUE(h.alerts.empty()) << "the deadline fired before its own instant's records";
+  h.detector.advance(deadline);
+  ASSERT_EQ(h.alerts.size(), 1u);
+  EXPECT_EQ(h.alerts[0].raised_at, deadline);
+  EXPECT_EQ(h.alerts[0].stuck_path, repath.update.attributes.as_path);
+}
+
+TEST(RealTime, TwoRecordsAtTheDeadlineInstantBothApplyFirst) {
+  // The first record stamped D is another peer's; it must not fire the
+  // deadline ahead of the second, which withdraws the stuck route.
+  Harness h;
+  const auto t0 = utc(2024, 6, 4, 12, 0, 0);
+  const auto deadline = t0 + 15 * kMinute + 90 * kMinute;
+  h.detector.expect(event_at(t0));
+  h.detector.ingest(announce(t0 + 10, peer_a(), kBeacon));
+  h.detector.ingest(announce(deadline, peer_b(), kBeacon));
+  h.detector.ingest(withdraw(deadline, peer_a(), kBeacon));
+  h.detector.advance(deadline + kHour);
+  ASSERT_EQ(h.alerts.size(), 1u);
+  EXPECT_EQ(h.alerts[0].peer, peer_b());
+  EXPECT_EQ(h.alerts[0].raised_at, deadline);
+  EXPECT_TRUE(h.resolutions.empty());
+}
+
+TEST(RealTime, ExpectQueueKeepsTheAnnounceInstantDeadlineOpen) {
+  // Another prefix's announcement at D: releasing it must not fire the
+  // deadline at D before the records stamped D arrive.
+  Harness h;
+  const auto t0 = utc(2024, 6, 4, 12, 0, 0);
+  const auto deadline = t0 + 15 * kMinute + 90 * kMinute;
+  const Prefix other = Prefix::parse("2a0d:3dc1:1345::/48");
+  ExpectQueue queue;
+  queue.push({other, deadline, deadline + 15 * kMinute, false});
+  queue.push(event_at(t0));
+  queue.release_until(t0 + 10, h.detector);
+  h.detector.ingest(announce(t0 + 10, peer_a(), kBeacon));
+  queue.release_until(deadline, h.detector);
+  h.detector.ingest(withdraw(deadline, peer_a(), kBeacon));
+  h.detector.advance(deadline + kHour);
+  EXPECT_TRUE(h.alerts.empty());
+}
+
+TEST(RealTime, SupersededDeadlineEntriesAreSkipped) {
+  // Each recycle leaves the old watch's heap entry behind; firing must
+  // skip it and still fire the live watch at its own deadline.
+  Harness h;
+  const auto t0 = utc(2024, 6, 4, 12, 0, 0);
+  for (int day = 0; day < 3; ++day) {
+    h.detector.expect(event_at(t0 + day * 24 * kHour));
+    h.detector.ingest(announce(t0 + day * 24 * kHour + 10, peer_a(), kBeacon));
+  }
+  const auto last_deadline = t0 + 48 * kHour + 15 * kMinute + 90 * kMinute;
+  h.detector.advance(last_deadline - 1);
+  EXPECT_TRUE(h.alerts.empty());
+  h.detector.advance(last_deadline);
+  ASSERT_EQ(h.alerts.size(), 1u);
+  EXPECT_EQ(h.alerts[0].withdrawn_at, t0 + 48 * kHour + 15 * kMinute);
+}
+
 TEST(RealTime, CountersTrackTotals) {
   Harness h;
   const auto t0 = utc(2024, 6, 4, 12, 0, 0);

@@ -114,7 +114,13 @@ TEST(WireE2E, LoopbackSessionEstablishesAndDeliversUpdates) {
     EXPECT_EQ(received.attributes.as_path, update.attributes.as_path);
   }
 
-  ASSERT_TRUE(wait_for([&] { return harness.speaker.established_count() == 1; }));
+  // The session table is republished at the end of each poll pass, after
+  // the update callback has run: wait for the pass that counts the route.
+  ASSERT_TRUE(wait_for([&] {
+    const auto rows = harness.speaker.snapshot();
+    return harness.speaker.established_count() == 1 && rows.size() == 1 &&
+           rows[0].routes == 1;
+  }));
   const auto rows = harness.speaker.snapshot();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].state, "Established");

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -367,6 +368,33 @@ TEST(WireFrameReader, PartialFrameYieldsNothing) {
   auto frame = reader.next();
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(*frame, keepalive_wire);
+}
+
+TEST(WireFrameReader, DrainsManyBufferedFramesInOrder) {
+  // A socket read can deliver thousands of frames in one chunk; next()
+  // must consume them through an offset, not by shifting the buffer.
+  // A trailing OPEN marks the end of the sequence.
+  constexpr std::size_t kKeepalives = 10'000;
+  const auto keepalive_wire = encode_keepalive();
+  OpenMessage open;
+  open.asn = 65001;
+  open.bgp_id = 9;
+  const auto open_wire = open.encode();
+  std::vector<std::uint8_t> chunk;
+  for (std::size_t i = 0; i < kKeepalives; ++i)
+    chunk.insert(chunk.end(), keepalive_wire.begin(), keepalive_wire.end());
+  chunk.insert(chunk.end(), open_wire.begin(), open_wire.end());
+
+  FrameReader reader;
+  reader.append(chunk);
+  std::size_t keepalives = 0;
+  std::optional<std::vector<std::uint8_t>> frame;
+  while ((frame = reader.next()) && *frame == keepalive_wire) ++keepalives;
+  EXPECT_EQ(keepalives, kKeepalives);
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(*frame, open_wire);
+  EXPECT_EQ(reader.next(), std::nullopt);
+  EXPECT_EQ(reader.buffered(), 0u);
 }
 
 // ------------------------------------------------------ stale retention
