@@ -21,10 +21,6 @@
 // zs_bench_lat_* gauges, and the process-wide cumulative stage
 // histograms land in the snapshot's "latency" section — the part
 // zsbenchdiff --gate-latency gates on.
-//
-// With ZS_LATHIST_ENABLED=0 the subscribers still run (they are load)
-// but no samples are recorded; the bench prints a notice and the
-// snapshot carries no latency section.
 
 #include <benchmark/benchmark.h>
 
@@ -64,9 +60,7 @@ struct LatResult {
 };
 
 obs::LatSnapshot stage_snapshot(const char* name) {
-  if constexpr (obs::kLatHistCompiledIn)
-    return obs::LatRegistry::global().get(name).snapshot();
-  return {};
+  return obs::LatRegistry::global().get(name).snapshot();
 }
 
 LatResult run_config(const scenarios::LongLived2024Output& data,
@@ -140,11 +134,6 @@ void print_table() {
   const auto data = bench::load_longlived2024();
   std::printf("  %zu update records, %zu beacon events\n",
               data.updates.size(), data.events.size());
-  if constexpr (!obs::kLatHistCompiledIn) {
-    std::printf("\n  zslat compiled out (ZS_LATHIST=OFF): no latency "
-                "histograms to report.\n");
-    return;
-  }
   std::printf("\n  %-7s %5s %-6s %8s %12s %12s %12s %12s\n", "shards", "subs",
               "pacing", "samples", "e2e p50 ms", "e2e p99 ms", "wait p50 us",
               "fan p50 us");

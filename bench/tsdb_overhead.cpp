@@ -112,7 +112,7 @@ void BM_DecodeLoopSamplerOn1s(benchmark::State& state) {
   const bool started = tsdb->start();  // production cadence: 1 s
   decode_loop(state);
   if (started) tsdb->stop();
-  state.counters["sampler"] = started ? 1.0 : 0.0;  // 0 under ZS_TSDB=OFF
+  state.counters["sampler"] = started ? 1.0 : 0.0;
 }
 BENCHMARK(BM_DecodeLoopSamplerOn1s);
 

@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the plain build + full test suite, then the obs
 # subsystem's tests again under ThreadSanitizer (its hot paths — the
-# metrics cells, the span ring, the journal MPSC ring, the causal
-# tracer's hop ring, and the zsprof sample rings + SIGPROF handler —
-# are the only code that promises
-# lock-free cross-thread use — plus zslive's MPSC shard queues, epoch
-# snapshots, and SSE fanout) and under AddressSanitizer+UBSan (the
-# journal codec, the HTTP server, and the NDJSON feed parse external
-# bytes; the zsprof stack walk reads raw stack memory). Both legs also
-# run the detection engine's tests (realtime, zombie, differential).
-# Each sanitizer leg ends with a 30-second zslived tap-demo soak under
-# concurrent curl clients.
+# metrics cells, the span ring, the one MPSC ring (netbase::Ring,
+# behind the journal, the causal tracer and zslive's shard queues),
+# and the zsprof/zsheap per-thread sample rings + SIGPROF handler —
+# are the only code that promises lock-free cross-thread use — plus
+# zslive's epoch snapshots and SSE fanout) and under
+# AddressSanitizer+UBSan (the journal codec, the HTTP server, the JSON
+# codec and the wire/MRT codecs parse external bytes, so their unit and
+# seeded fuzz tests run there; the zsprof stack walk reads raw stack
+# memory). Both legs also run the detection engine's tests (realtime,
+# zombie, differential). Each sanitizer leg ends with a 30-second
+# zslived tap-demo soak under concurrent curl clients.
 #
 # Usage: scripts/run_tier1.sh [build-dir]   (default: build)
 
@@ -32,16 +33,18 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 # __sanitizer symbols — the session tests skip there, while the
 # report/rendering tests still run. This proves the step-aside path,
 # not just the happy path.
-OBS_TARGETS="obs_test journal_test http_test prof_test benchdiff_test prof_compileout_test \
-  heap_test heap_compileout_test lathist_test lathist_compileout_test \
-  tsdb_test tsdb_compileout_test \
-  causal_test causal_e2e_test causal_compileout_test live_test \
+OBS_TARGETS="obs_test journal_test http_test prof_test benchdiff_test \
+  heap_test lathist_test tsdb_test \
+  causal_test causal_e2e_test live_test \
   wire_test wirefault_test realtime_test zombie_test differential_test \
+  json_test fuzz_codec_test \
   zswire zslived zstop"
-# The ctest names those targets register: the obs/live/wire suites, plus
-# the detection engine (its deadline heap and the skipping of superseded
-# entries), the batch detector built on it, and the differential replay check.
-SANITIZER_TESTS='^(Obs|Wire)|^(RealTime|StateTracker|IntervalDetector|LongLived|Lifespan|NoisyPeers|Analyzer|RootCause|LookingGlass)\.|/Differential\.'
+# The ctest names those targets register: the obs/live/wire suites, the
+# detection engine (its deadline heap and the skipping of superseded
+# entries), the batch detector built on it, the differential replay
+# check, the JSON codec, and the seeded codec/clock/JSON fuzz suites
+# (parameterized names look like Seeds/CodecFuzz.X/0).
+SANITIZER_TESTS='^(Obs|Wire)|^(RealTime|StateTracker|IntervalDetector|LongLived|Lifespan|NoisyPeers|Analyzer|RootCause|LookingGlass|Json|ClockFuzz)\.|/(Differential|CodecFuzz|JsonFuzz)\.'
 
 # A 30-second zslived soak under the instrumented build: the tap demo
 # feeds a live simulation through the sharded service while curl

@@ -28,7 +28,7 @@ void journal_noise(obs::JournalEventType type, netbase::TimePoint at,
   ev.peer_asn = peer_asn;
   ev.peer_address = peer_address;
   ev.a = a;
-  journal.emit_runtime(obs::category_of(type), ev);
+  journal.emit(obs::category_of(type), ev);
 }
 
 }  // namespace

@@ -7,18 +7,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <map>
 #include <stdexcept>
 #include <thread>
-#include <variant>
 
 #include "collector/collector.hpp"
 #include "mrt/codec.hpp"
+#include "netbase/json.hpp"
 #include "netbase/rng.hpp"
 #include "obs/metrics.hpp"
 #include "simnet/simulation.hpp"
@@ -35,220 +33,40 @@ obs::Counter feed_parse_errors_counter() {
   return obs::Registry::global().counter("zs_live_feed_parse_errors_total");
 }
 
-// --- a minimal JSON reader for the RIS-Live schema -------------------
-//
-// The container bakes in no JSON library and the schema is shallow, so
-// a ~100-line recursive-descent parser is the whole dependency. It
-// accepts the JSON subset RIS-Live emits (no comments, UTF-8 passed
-// through, \uXXXX escapes collapsed to '?').
+using netbase::JsonValue;
 
-struct JsonValue;
-using JsonArray = std::vector<JsonValue>;
-using JsonObject = std::map<std::string, JsonValue>;
+using Kind = netbase::JsonValue::Kind;
 
-struct JsonValue {
-  std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject>
-      v = nullptr;
-
-  const JsonObject* object() const { return std::get_if<JsonObject>(&v); }
-  const JsonArray* array() const { return std::get_if<JsonArray>(&v); }
-  const std::string* string() const { return std::get_if<std::string>(&v); }
-  const double* number() const { return std::get_if<double>(&v); }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  std::optional<JsonValue> parse() {
-    skip_ws();
-    JsonValue value;
-    if (!parse_value(value, 0)) return std::nullopt;
-    skip_ws();
-    if (pos_ != text_.size()) return std::nullopt;
-    return value;
-  }
-
- private:
-  static constexpr int kMaxDepth = 32;
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  bool eat(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool eat_word(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  bool parse_value(JsonValue& out, int depth) {
-    if (depth > kMaxDepth || pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') return parse_object(out, depth);
-    if (c == '[') return parse_array(out, depth);
-    if (c == '"') {
-      std::string s;
-      if (!parse_string(s)) return false;
-      out.v = std::move(s);
-      return true;
-    }
-    if (eat_word("null")) {
-      out.v = nullptr;
-      return true;
-    }
-    if (eat_word("true")) {
-      out.v = true;
-      return true;
-    }
-    if (eat_word("false")) {
-      out.v = false;
-      return true;
-    }
-    return parse_number(out);
-  }
-
-  bool parse_object(JsonValue& out, int depth) {
-    if (!eat('{')) return false;
-    JsonObject object;
-    skip_ws();
-    if (eat('}')) {
-      out.v = std::move(object);
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(key)) return false;
-      skip_ws();
-      if (!eat(':')) return false;
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value, depth + 1)) return false;
-      object.emplace(std::move(key), std::move(value));
-      skip_ws();
-      if (eat(',')) continue;
-      if (eat('}')) break;
-      return false;
-    }
-    out.v = std::move(object);
-    return true;
-  }
-
-  bool parse_array(JsonValue& out, int depth) {
-    if (!eat('[')) return false;
-    JsonArray array;
-    skip_ws();
-    if (eat(']')) {
-      out.v = std::move(array);
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value, depth + 1)) return false;
-      array.push_back(std::move(value));
-      skip_ws();
-      if (eat(',')) continue;
-      if (eat(']')) break;
-      return false;
-    }
-    out.v = std::move(array);
-    return true;
-  }
-
-  bool parse_string(std::string& out) {
-    if (!eat('"')) return false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) return false;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u':
-          if (pos_ + 4 > text_.size()) return false;
-          pos_ += 4;
-          out += '?';  // no field we read carries non-ASCII escapes
-          break;
-        default: return false;
-      }
-    }
-    return false;
-  }
-
-  bool parse_number(JsonValue& out) {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return false;
-    out.v = value;
-    return true;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-const JsonValue* find(const JsonObject& object, const std::string& key) {
-  const auto it = object.find(key);
-  return it == object.end() ? nullptr : &it->second;
+/// A JSON number as an ASN; nullopt outside [0, 2^32).
+std::optional<bgp::Asn> asn_from_number(double n) {
+  if (!(n >= 0 && n <= 4294967295.0)) return std::nullopt;
+  return static_cast<bgp::Asn>(n);
 }
 
 /// peer_asn arrives as "64500" in RIS-Live but some producers send a
 /// bare number; accept both.
 std::optional<bgp::Asn> parse_asn(const JsonValue* value) {
   if (value == nullptr) return std::nullopt;
-  if (const double* n = value->number()) {
-    if (*n < 0 || *n > 4294967295.0) return std::nullopt;
-    return static_cast<bgp::Asn>(*n);
-  }
-  if (const std::string* s = value->string()) {
+  if (value->kind == Kind::kNumber) return asn_from_number(value->number);
+  if (value->kind == Kind::kString) {
+    const std::string& s = value->str;
     char* end = nullptr;
-    const unsigned long long asn = std::strtoull(s->c_str(), &end, 10);
-    if (end != s->c_str() + s->size() || asn > 4294967295ull) return std::nullopt;
+    const unsigned long long asn = std::strtoull(s.c_str(), &end, 10);
+    if (end != s.c_str() + s.size() || asn > 4294967295ull) return std::nullopt;
     return static_cast<bgp::Asn>(asn);
   }
   return std::nullopt;
 }
 
 /// RIS-Live paths can contain AS_SET members as nested arrays; flatten
-/// (the detector only matches paths textually).
-void flatten_path(const JsonArray& array, std::vector<bgp::Asn>& out) {
+/// (the detector only matches paths textually). Out-of-range numbers
+/// are skipped like other non-ASN elements.
+void flatten_path(const std::vector<JsonValue>& array, std::vector<bgp::Asn>& out) {
   for (const JsonValue& element : array) {
-    if (const double* n = element.number()) {
-      out.push_back(static_cast<bgp::Asn>(*n));
-    } else if (const JsonArray* nested = element.array()) {
-      flatten_path(*nested, out);
+    if (element.kind == Kind::kNumber) {
+      if (const auto asn = asn_from_number(element.number)) out.push_back(*asn);
+    } else if (element.kind == Kind::kArray) {
+      flatten_path(element.array, out);
     }
   }
 }
@@ -256,33 +74,34 @@ void flatten_path(const JsonArray& array, std::vector<bgp::Asn>& out) {
 }  // namespace
 
 std::optional<mrt::MrtRecord> parse_ris_live_line(std::string_view line) {
-  JsonParser parser(line);
-  const auto doc = parser.parse();
-  if (!doc) return std::nullopt;
-  const JsonObject* object = doc->object();
-  if (object == nullptr) return std::nullopt;
-  if (const JsonValue* data = find(*object, "data")) {
-    if (data->object() == nullptr) return std::nullopt;
-    object = data->object();
+  const auto doc = netbase::parse_json(line);
+  if (!doc || doc->kind != Kind::kObject) return std::nullopt;
+  const JsonValue* object = &*doc;
+  if (const JsonValue* data = object->find("data")) {
+    if (data->kind != Kind::kObject) return std::nullopt;
+    object = data;
   }
 
   std::string type = "UPDATE";
-  if (const JsonValue* t = find(*object, "type")) {
-    if (t->string() == nullptr) return std::nullopt;
-    type = *t->string();
+  if (const JsonValue* t = object->find("type")) {
+    if (t->kind != Kind::kString) return std::nullopt;
+    type = t->str;
   }
 
   netbase::TimePoint timestamp = 0;
-  if (const JsonValue* ts = find(*object, "timestamp")) {
-    if (ts->number() == nullptr) return std::nullopt;
-    timestamp = static_cast<netbase::TimePoint>(std::floor(*ts->number()));
+  if (const JsonValue* ts = object->find("timestamp")) {
+    // The range check keeps the integer conversion defined.
+    if (ts->kind != Kind::kNumber || !(std::fabs(ts->number) < 9.2e18)) {
+      return std::nullopt;
+    }
+    timestamp = static_cast<netbase::TimePoint>(std::floor(ts->number));
   }
 
-  const JsonValue* peer = find(*object, "peer");
-  if (peer == nullptr || peer->string() == nullptr) return std::nullopt;
-  const auto peer_address = netbase::IpAddress::try_parse(*peer->string());
+  const JsonValue* peer = object->find("peer");
+  if (peer == nullptr || peer->kind != Kind::kString) return std::nullopt;
+  const auto peer_address = netbase::IpAddress::try_parse(peer->str);
   if (!peer_address) return std::nullopt;
-  const auto peer_asn = parse_asn(find(*object, "peer_asn"));
+  const auto peer_asn = parse_asn(object->find("peer_asn"));
   if (!peer_asn) return std::nullopt;
 
   if (type == "UPDATE") {
@@ -290,42 +109,41 @@ std::optional<mrt::MrtRecord> parse_ris_live_line(std::string_view line) {
     message.timestamp = timestamp;
     message.peer_asn = *peer_asn;
     message.peer_address = *peer_address;
-    if (const JsonValue* withdrawals = find(*object, "withdrawals")) {
-      if (withdrawals->array() == nullptr) return std::nullopt;
-      for (const JsonValue& w : *withdrawals->array()) {
-        if (w.string() == nullptr) return std::nullopt;
-        const auto prefix = netbase::Prefix::try_parse(*w.string());
+    if (const JsonValue* withdrawals = object->find("withdrawals")) {
+      if (withdrawals->kind != Kind::kArray) return std::nullopt;
+      for (const JsonValue& w : withdrawals->array) {
+        if (w.kind != Kind::kString) return std::nullopt;
+        const auto prefix = netbase::Prefix::try_parse(w.str);
         if (!prefix) return std::nullopt;
         message.update.withdrawn.push_back(*prefix);
       }
     }
-    if (const JsonValue* announcements = find(*object, "announcements")) {
-      if (announcements->array() == nullptr) return std::nullopt;
-      for (const JsonValue& a : *announcements->array()) {
-        const JsonObject* entry = a.object();
-        if (entry == nullptr) return std::nullopt;
-        if (const JsonValue* next_hop = find(*entry, "next_hop")) {
-          if (next_hop->string() != nullptr) {
+    if (const JsonValue* announcements = object->find("announcements")) {
+      if (announcements->kind != Kind::kArray) return std::nullopt;
+      for (const JsonValue& entry : announcements->array) {
+        if (entry.kind != Kind::kObject) return std::nullopt;
+        if (const JsonValue* next_hop = entry.find("next_hop")) {
+          if (next_hop->kind == Kind::kString) {
             message.update.attributes.next_hop =
-                netbase::IpAddress::try_parse(*next_hop->string());
+                netbase::IpAddress::try_parse(next_hop->str);
           }
         }
-        const JsonValue* prefixes = find(*entry, "prefixes");
-        if (prefixes == nullptr || prefixes->array() == nullptr) {
+        const JsonValue* prefixes = entry.find("prefixes");
+        if (prefixes == nullptr || prefixes->kind != Kind::kArray) {
           return std::nullopt;
         }
-        for (const JsonValue& p : *prefixes->array()) {
-          if (p.string() == nullptr) return std::nullopt;
-          const auto prefix = netbase::Prefix::try_parse(*p.string());
+        for (const JsonValue& p : prefixes->array) {
+          if (p.kind != Kind::kString) return std::nullopt;
+          const auto prefix = netbase::Prefix::try_parse(p.str);
           if (!prefix) return std::nullopt;
           message.update.announced.push_back(*prefix);
         }
       }
     }
-    if (const JsonValue* path = find(*object, "path")) {
-      if (path->array() != nullptr) {
+    if (const JsonValue* path = object->find("path")) {
+      if (path->kind == Kind::kArray) {
         std::vector<bgp::Asn> asns;
-        flatten_path(*path->array(), asns);
+        flatten_path(path->array, asns);
         message.update.attributes.as_path = bgp::AsPath::sequence(asns);
       }
     }
@@ -337,9 +155,7 @@ std::optional<mrt::MrtRecord> parse_ris_live_line(std::string_view line) {
 
   if (type == "STATE" || type == "RIS_PEER_STATE") {
     std::string state;
-    if (const JsonValue* s = find(*object, "state")) {
-      if (s->string() != nullptr) state = *s->string();
-    }
+    if (const JsonValue* s = object->find("state")) state = s->string_or("");
     const bool up =
         state == "connected" || state == "established" || state == "up";
     mrt::Bgp4mpStateChange change;

@@ -16,8 +16,7 @@
 // one process (steady_clock stamps are process-comparable, wall clock
 // skew is not involved). zslived starts one automatically when it
 // serves HTTP; the delivery-latency bench starts several to model
-// fanout load. With ZS_LATHIST_ENABLED=0 the client still subscribes
-// (it is also load) but records into a no-op histogram.
+// fanout load.
 
 #pragma once
 
@@ -79,7 +78,7 @@ class LoopbackLatencyClient {
   bool in_number_ = false;
   std::uint64_t number_ = 0;
 
-  obs::LatHist* e2e_ = nullptr;  // "live.e2e" (null when compiled out)
+  obs::LatHist* e2e_ = nullptr;  // "live.e2e"
   obs::Histogram m_e2e_seconds_;
 };
 

@@ -305,7 +305,7 @@ std::shared_ptr<const PeerTable> PeerTableBuilder::build(
           event.a = ppm(row.probability);
           event.b = ppm(table->median_probability);
           event.c = static_cast<std::int64_t>(row.stuck);
-          journal.emit<obs::kCatPeer>(event);
+          journal.emit(obs::kCatPeer, event);
         }
       }
     } else {
@@ -322,7 +322,7 @@ std::shared_ptr<const PeerTable> PeerTableBuilder::build(
             peer_event(obs::JournalEventType::kPeerSilent, clock, peer);
         event.a = clock - row.last_seen;
         event.b = row.last_seen;
-        journal.emit<obs::kCatPeer>(event);
+        journal.emit(obs::kCatPeer, event);
       }
     } else if (!row.silent) {
       st.silent_logged = false;

@@ -1,16 +1,11 @@
 // live/queue.hpp — the bounded MPSC ring between feed sources and
 // shard workers.
 //
-// The Vyukov sequence-number ring journal.cpp uses, generalized to
-// movable element types (a queued MrtRecord owns prefix vectors): each
-// slot carries an atomic sequence that hands the slot back and forth
-// between producers and the single consumer, so the fast path is two
-// atomic ops per push/pop and never allocates.
-//
-// Blocking is deliberately layered *around* the lock-free ring, not
-// inside it: try_push/try_pop never wait, and the condvar pair is only
-// touched when one side has announced (via an atomic flag) that it is
-// parked. Live feeds use try_push and count the drop when a shard is
+// The lock-free core is netbase::Ring (a queued MrtRecord owns prefix
+// vectors, so the ring moves elements). Blocking is deliberately
+// layered *around* the ring, not inside it: try_push/try_pop never
+// wait, and the condvar pair is only touched when one side has
+// announced (via an atomic flag) that it is parked. Live feeds use try_push and count the drop when a shard is
 // saturated (backpressure must never slow the wire); replay and bench
 // producers use push_blocking, which turns a full queue into
 // backpressure instead of data loss — that is why the throughput
@@ -21,9 +16,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdint>
-#include <memory>
 #include <mutex>
+
+#include "netbase/ring.hpp"
 
 namespace zombiescope::live {
 
@@ -31,45 +26,21 @@ template <typename T>
 class BoundedMpscQueue {
  public:
   /// Capacity is rounded up to a power of two (minimum 2).
-  explicit BoundedMpscQueue(std::size_t capacity) {
-    std::size_t cap = 2;
-    while (cap < capacity) cap <<= 1;
-    capacity_ = cap;
-    slots_ = std::make_unique<Slot[]>(cap);
-    for (std::size_t i = 0; i < cap; ++i) {
-      slots_[i].seq.store(i, std::memory_order_relaxed);
-    }
-  }
+  explicit BoundedMpscQueue(std::size_t capacity) : ring_(capacity) {}
   BoundedMpscQueue(const BoundedMpscQueue&) = delete;
   BoundedMpscQueue& operator=(const BoundedMpscQueue&) = delete;
 
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return ring_.capacity(); }
 
   /// Non-blocking push; false when the ring is full or closed.
   bool try_push(T&& item) {
     if (closed_.load(std::memory_order_relaxed)) return false;
-    std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-    for (;;) {
-      Slot& slot = slots_[pos & (capacity_ - 1)];
-      const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
-      const auto dif = static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(pos);
-      if (dif == 0) {
-        if (enqueue_pos_.compare_exchange_weak(pos, pos + 1,
-                                               std::memory_order_relaxed)) {
-          slot.value = std::move(item);
-          slot.seq.store(pos + 1, std::memory_order_release);
-          if (consumer_parked_.load(std::memory_order_acquire)) {
-            std::lock_guard<std::mutex> lock(wait_mutex_);
-            not_empty_.notify_one();
-          }
-          return true;
-        }
-      } else if (dif < 0) {
-        return false;  // full
-      } else {
-        pos = enqueue_pos_.load(std::memory_order_relaxed);
-      }
+    if (!ring_.try_push(std::move(item))) return false;
+    if (consumer_parked_.load(std::memory_order_acquire)) {
+      std::lock_guard<std::mutex> lock(wait_mutex_);
+      not_empty_.notify_one();
     }
+    return true;
   }
 
   /// Waits for space instead of dropping. Returns false only when the
@@ -87,19 +58,7 @@ class BoundedMpscQueue {
   }
 
   /// Single-consumer pop; false when empty.
-  bool try_pop(T& out) {
-    const std::uint64_t pos = dequeue_pos_.load(std::memory_order_relaxed);
-    Slot& slot = slots_[pos & (capacity_ - 1)];
-    const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
-    if (static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(pos + 1) < 0) {
-      return false;
-    }
-    out = std::move(slot.value);
-    slot.value = T{};  // release owned resources while the slot idles
-    slot.seq.store(pos + capacity_, std::memory_order_release);
-    dequeue_pos_.store(pos + 1, std::memory_order_relaxed);
-    return true;
-  }
+  bool try_pop(T& out) { return ring_.try_pop(out); }
 
   /// Consumer-side wait-for-item with a bounded timeout; false on
   /// timeout (call again) or when closed and drained.
@@ -142,23 +101,10 @@ class BoundedMpscQueue {
   bool closed() const { return closed_.load(std::memory_order_relaxed); }
 
   /// Approximate fill (racy by nature; for gauges and stats).
-  std::size_t approx_size() const {
-    const std::uint64_t enq = enqueue_pos_.load(std::memory_order_relaxed);
-    const std::uint64_t deq = dequeue_pos_.load(std::memory_order_relaxed);
-    return enq >= deq ? static_cast<std::size_t>(enq - deq) : 0;
-  }
+  std::size_t approx_size() const { return ring_.approx_size(); }
 
  private:
-  struct Slot {
-    std::atomic<std::uint64_t> seq{0};
-    T value{};
-  };
-
-  std::size_t capacity_ = 0;
-  std::unique_ptr<Slot[]> slots_;
-  alignas(64) std::atomic<std::uint64_t> enqueue_pos_{0};
-  alignas(64) std::atomic<std::uint64_t> dequeue_pos_{0};
-
+  netbase::Ring<T> ring_;
   std::atomic<bool> closed_{false};
   std::atomic<bool> consumer_parked_{false};
   std::atomic<int> producer_parked_{0};

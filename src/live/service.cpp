@@ -116,7 +116,7 @@ void journal_route(JournalEventType type, const netbase::Prefix& prefix,
   ev.peer_address = peer.address;
   ev.a = a;
   ev.b = b;
-  journal.emit<Cat>(ev);
+  journal.emit(Cat, ev);
 }
 
 }  // namespace
@@ -165,28 +165,26 @@ LiveService::LiveService(LiveConfig config)
       "zs_live_ingest_lag_seconds",
       {1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25,
        0.5, 1.0, 2.5, 5.0});
-  if constexpr (obs::kLatHistCompiledIn) {
-    // Stage latency surfaces: LatRegistry cell for /latency + bench
-    // sections, registry seconds histogram for the Prometheus
-    // zs_live_stage_seconds_* _quantile gauges. Both are process-wide
-    // singletons keyed by name, so successive LiveService instances
-    // accumulate into the same cells (benches diff snapshots instead).
-    const std::vector<double> stage_buckets = {
-        1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
-        1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1,  0.25,   0.5,
-        1.0,  2.5,    5.0};
-    auto& lats = obs::LatRegistry::global();
-    const auto wire = [&](StageLat& stage, const char* name) {
-      stage.hist = &lats.get(std::string("live.") + name);
-      stage.seconds = registry.histogram(
-          std::string("zs_live_stage_seconds_") + name, stage_buckets);
-    };
-    wire(stage_ingest_enqueue_, "ingest_enqueue");
-    wire(stage_queue_wait_, "queue_wait");
-    wire(stage_detect_, "detect");
-    wire(stage_publish_, "publish");
-    wire(stage_fanout_, "fanout");
-  }
+  // Stage latency surfaces: LatRegistry cell for /latency + bench
+  // sections, registry seconds histogram for the Prometheus
+  // zs_live_stage_seconds_* _quantile gauges. Both are process-wide
+  // singletons keyed by name, so successive LiveService instances
+  // accumulate into the same cells (benches diff snapshots instead).
+  const std::vector<double> stage_buckets = {
+      1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
+      1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1,  0.25,   0.5,
+      1.0,  2.5,    5.0};
+  auto& lats = obs::LatRegistry::global();
+  const auto wire = [&](StageLat& stage, const char* name) {
+    stage.hist = &lats.get(std::string("live.") + name);
+    stage.seconds = registry.histogram(
+        std::string("zs_live_stage_seconds_") + name, stage_buckets);
+  };
+  wire(stage_ingest_enqueue_, "ingest_enqueue");
+  wire(stage_queue_wait_, "queue_wait");
+  wire(stage_detect_, "detect");
+  wire(stage_publish_, "publish");
+  wire(stage_fanout_, "fanout");
 }
 
 LiveService::~LiveService() { stop(); }
@@ -255,7 +253,7 @@ bool LiveService::push_to(std::size_t shard, ShardItem&& item) {
     ev.time = ts;
     ev.a = static_cast<std::int64_t>(shard);
     ev.b = static_cast<std::int64_t>(total);
-    journal.emit<obs::kCatLive>(ev);
+    journal.emit(obs::kCatLive, ev);
   }
   return false;
 }
@@ -554,9 +552,7 @@ void LiveService::worker_loop(std::size_t shard) {
           peerq.advance(clock);
           peerq.on_record(item.record);
         }
-        if constexpr (obs::kLatHistCompiledIn) {
-          stage_detect_.record_ns(elapsed_ns(dequeued, SteadyClock::now()));
-        }
+        stage_detect_.record_ns(elapsed_ns(dequeued, SteadyClock::now()));
         s.processed.fetch_add(1, std::memory_order_relaxed);
         m_records_.inc();
         break;
@@ -809,12 +805,10 @@ void LiveService::attach_http(obs::HttpServer& server,
     return response;
   });
   server.add_stream("/live/events", &events_);
-  if constexpr (obs::kLatHistCompiledIn) {
-    // Frame publish → copy into a subscriber's connection buffer, per
-    // delivery (N subscribers record N fanout samples per frame).
-    events_.set_latency_sink(
-        [this](std::uint64_t ns) { stage_fanout_.record_ns(ns); });
-  }
+  // Frame publish → copy into a subscriber's connection buffer, per
+  // delivery (N subscribers record N fanout samples per frame).
+  events_.set_latency_sink(
+      [this](std::uint64_t ns) { stage_fanout_.record_ns(ns); });
   if (stale_after_seconds > 0.0 || extra_degraded) {
     // Readiness override (registration overrides the built-in
     // liveness /healthz): degraded once no shard has published a

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -10,201 +9,12 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "netbase/json.hpp"
+
 namespace zombiescope::obs {
 
-// --- minimal JSON reader --------------------------------------------
-
-namespace {
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  std::optional<JsonValue> parse() {
-    JsonValue v;
-    if (!value(v)) return std::nullopt;
-    skip_ws();
-    if (pos_ != text_.size()) return std::nullopt;  // trailing garbage
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  bool string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return false;
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return false;
-            }
-            // Snapshot strings are ASCII in practice; encode the code
-            // point as UTF-8 without surrogate-pair handling.
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
-          }
-          default: return false;
-        }
-      } else {
-        out += c;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool number(double& out) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-    bool any = false;
-    auto digits = [&] {
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-        any = true;
-      }
-    };
-    digits();
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      digits();
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-      digits();
-    }
-    if (!any) return false;
-    const std::string token(text_.substr(start, pos_ - start));
-    try {
-      out = std::stod(token);
-    } catch (...) {
-      return false;
-    }
-    return true;
-  }
-
-  bool value(JsonValue& out) {
-    skip_ws();
-    if (pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') {
-      ++pos_;
-      out.kind = JsonValue::Kind::kObject;
-      skip_ws();
-      if (consume('}')) return true;
-      while (true) {
-        std::string key;
-        if (!string(key)) return false;
-        if (!consume(':')) return false;
-        JsonValue member;
-        if (!value(member)) return false;
-        out.object.emplace_back(std::move(key), std::move(member));
-        if (consume(',')) {
-          skip_ws();
-          continue;
-        }
-        return consume('}');
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      out.kind = JsonValue::Kind::kArray;
-      skip_ws();
-      if (consume(']')) return true;
-      while (true) {
-        JsonValue element;
-        if (!value(element)) return false;
-        out.array.push_back(std::move(element));
-        if (consume(',')) continue;
-        return consume(']');
-      }
-    }
-    if (c == '"') {
-      out.kind = JsonValue::Kind::kString;
-      return string(out.str);
-    }
-    if (c == 't') {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = true;
-      return literal("true");
-    }
-    if (c == 'f') {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = false;
-      return literal("false");
-    }
-    if (c == 'n') {
-      out.kind = JsonValue::Kind::kNull;
-      return literal("null");
-    }
-    out.kind = JsonValue::Kind::kNumber;
-    return number(out.number);
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-const JsonValue* JsonValue::find(std::string_view key) const {
-  if (kind != Kind::kObject) return nullptr;
-  for (const auto& [k, v] : object)
-    if (k == key) return &v;
-  return nullptr;
-}
-
-std::optional<JsonValue> parse_json(std::string_view text) {
-  return JsonParser(text).parse();
-}
+using netbase::JsonValue;
+using netbase::parse_json;
 
 // --- snapshot loading -----------------------------------------------
 
@@ -447,27 +257,6 @@ std::string format_pct(double v) {
   return buf;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string describe_incompatibility(const BuildInfo& a, const BuildInfo& b) {
   std::string why;
@@ -658,13 +447,13 @@ std::string render_json(const DiffResult& result) {
   for (std::size_t i = 0; i < result.benches.size(); ++i) {
     const BenchDiff& bench = result.benches[i];
     if (i != 0) out += ',';
-    out += "\n    {\"bench\": \"" + json_escape(bench.bench_name) + "\"";
+    out += "\n    {\"bench\": \"" + netbase::json_escape(bench.bench_name) + "\"";
     out += ", \"baseline_runs\": " + std::to_string(bench.baseline_runs);
     out += ", \"candidate_runs\": " + std::to_string(bench.candidate_runs);
     out += ", \"gate_tripped\": ";
     out += bench.gate_tripped ? "true" : "false";
     if (!bench.incompatible.empty())
-      out += ", \"skipped\": \"" + json_escape(bench.incompatible) + "\"";
+      out += ", \"skipped\": \"" + netbase::json_escape(bench.incompatible) + "\"";
     out += ", \"deltas\": [";
     bool first = true;
     for (const MetricDelta& d : bench.deltas) {
@@ -676,7 +465,7 @@ std::string render_json(const DiffResult& result) {
                     "\n      {\"metric\": \"%s\", \"base\": %.17g, "
                     "\"cand\": %.17g, \"delta_pct\": %.4f, "
                     "\"gated\": %s, \"regression\": %s}",
-                    json_escape(d.name).c_str(), d.base, d.cand,
+                    netbase::json_escape(d.name).c_str(), d.base, d.cand,
                     std::isfinite(d.delta_pct) ? d.delta_pct : 9999.0,
                     d.gated ? "true" : "false",
                     d.regression ? "true" : "false");

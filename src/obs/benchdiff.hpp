@@ -39,28 +39,6 @@
 
 namespace zombiescope::obs {
 
-// --- minimal JSON reader (zsobs-v1 snapshots only) ------------------
-
-/// A parsed JSON value. Numbers are doubles (counter magnitudes in the
-/// snapshots stay well inside the 2^53 exact-integer range).
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  /// Object member lookup; nullptr when absent or not an object.
-  const JsonValue* find(std::string_view key) const;
-};
-
-/// Strict-enough recursive-descent parse; nullopt on malformed input.
-std::optional<JsonValue> parse_json(std::string_view text);
-
-// --- snapshot model -------------------------------------------------
-
 /// One BENCH_*.json flattened to comparable scalars. Metric names are
 /// prefixed by kind: "counter:zs_...", "gauge:zs_...",
 /// "hist_sum:zs_...", "hist_count:zs_...", "phase_share:...", plus the

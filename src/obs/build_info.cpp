@@ -1,6 +1,6 @@
 #include "obs/build_info.hpp"
 
-#include <cstdio>
+#include "netbase/json.hpp"
 
 // The cmake obs target defines ZS_GIT_SHA / ZS_BUILD_TYPE /
 // ZS_SANITIZE_FLAGS for this translation unit; default to "unknown" /
@@ -42,27 +42,6 @@ std::string arch_string() {
 #endif
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 const BuildInfo& build_info() {
@@ -80,10 +59,10 @@ const BuildInfo& build_info() {
 
 std::string build_info_json() {
   const BuildInfo& b = build_info();
-  return "{\"git_sha\": \"" + json_escape(b.git_sha) + "\", \"compiler\": \"" +
-         json_escape(b.compiler) + "\", \"build_type\": \"" +
-         json_escape(b.build_type) + "\", \"sanitizer\": \"" +
-         json_escape(b.sanitizer) + "\", \"arch\": \"" + json_escape(b.arch) +
+  return "{\"git_sha\": \"" + netbase::json_escape(b.git_sha) + "\", \"compiler\": \"" +
+         netbase::json_escape(b.compiler) + "\", \"build_type\": \"" +
+         netbase::json_escape(b.build_type) + "\", \"sanitizer\": \"" +
+         netbase::json_escape(b.sanitizer) + "\", \"arch\": \"" + netbase::json_escape(b.arch) +
          "\"}";
 }
 

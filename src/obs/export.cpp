@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 
+#include "netbase/json.hpp"
 #include "obs/build_info.hpp"
 
 namespace zombiescope::obs {
@@ -17,28 +18,6 @@ std::string format_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 struct ExportedQuantile {
@@ -71,7 +50,7 @@ void append_json_spans(std::string& out, std::span<const SpanRecord> spans) {
     if (i != 0) out += ',';
     out += "\n    {\"id\": " + std::to_string(s.id) +
            ", \"parent\": " + std::to_string(s.parent) + ", \"name\": \"" +
-           json_escape(s.name) + "\", \"start_ns\": " + std::to_string(s.start_ns) +
+           netbase::json_escape(s.name) + "\", \"start_ns\": " + std::to_string(s.start_ns) +
            ", \"duration_ns\": " + std::to_string(s.duration_ns) + "}";
   }
   out += spans.empty() ? "]" : "\n  ]";
@@ -158,19 +137,19 @@ std::string to_json(const Snapshot& snapshot, std::span<const SpanRecord> spans,
   std::string out = "{\n  \"schema\": \"zsobs-v1\",\n";
   out += "  \"build_info\": " + build_info_json() + ",\n";
   for (const auto& [key, value] : extra) {
-    out += "  \"" + json_escape(key) + "\": " + value + ",\n";
+    out += "  \"" + netbase::json_escape(key) + "\": " + value + ",\n";
   }
   out += "  \"counters\": {";
   for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
     if (i != 0) out += ',';
-    out += "\n    \"" + json_escape(snapshot.counters[i].first) +
+    out += "\n    \"" + netbase::json_escape(snapshot.counters[i].first) +
            "\": " + std::to_string(snapshot.counters[i].second);
   }
   out += snapshot.counters.empty() ? "},\n" : "\n  },\n";
   out += "  \"gauges\": {";
   for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
     if (i != 0) out += ',';
-    out += "\n    \"" + json_escape(snapshot.gauges[i].first) +
+    out += "\n    \"" + netbase::json_escape(snapshot.gauges[i].first) +
            "\": " + std::to_string(snapshot.gauges[i].second);
   }
   out += snapshot.gauges.empty() ? "},\n" : "\n  },\n";
@@ -178,7 +157,7 @@ std::string to_json(const Snapshot& snapshot, std::span<const SpanRecord> spans,
   for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
     const HistogramSnapshot& h = snapshot.histograms[i];
     if (i != 0) out += ',';
-    out += "\n    \"" + json_escape(h.name) + "\": {\"bounds\": [";
+    out += "\n    \"" + netbase::json_escape(h.name) + "\": {\"bounds\": [";
     for (std::size_t k = 0; k < h.bounds.size(); ++k) {
       if (k != 0) out += ", ";
       out += format_double(h.bounds[k]);

@@ -7,9 +7,9 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "netbase/json.hpp"
 #include "obs/metrics.hpp"
 
-#if ZS_HEAP_ENABLED
 #include <cxxabi.h>
 #include <dlfcn.h>
 #include <pthread.h>
@@ -22,7 +22,6 @@
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
-#endif
 
 // Interposition wants glibc's __libc_malloc family as the backing
 // allocator (no dlsym bootstrap problem) and must never compete with a
@@ -44,15 +43,11 @@
 #define ZS_HEAP_UNDER_SANITIZER 0
 #endif
 
-#if ZS_HEAP_ENABLED && defined(__GLIBC__) && defined(__linux__) && \
-    !ZS_HEAP_UNDER_SANITIZER
+#if defined(__GLIBC__) && defined(__linux__) && !ZS_HEAP_UNDER_SANITIZER
 #define ZS_HEAP_INTERPOSE 1
 #else
 #define ZS_HEAP_INTERPOSE 0
 #endif
-
-#if ZS_HEAP_ENABLED
-#include <malloc.h>  // malloc_usable_size
 
 // Weak references to the sanitizer runtimes' init entry points: when a
 // sanitizer runtime is linked anywhere in the process these resolve
@@ -62,9 +57,10 @@ __attribute__((weak)) void __asan_init();
 __attribute__((weak)) void __tsan_init();
 __attribute__((weak)) void __msan_init();
 }
-#endif
 
 #if ZS_HEAP_INTERPOSE
+#include <malloc.h>  // malloc_usable_size
+
 // glibc's public backing allocator, callable from inside the
 // interposed symbols without recursing through them.
 extern "C" {
@@ -90,28 +86,6 @@ namespace zombiescope::obs {
 
 namespace {
 
-std::string heap_json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string heap_format_double(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.4f", v);
@@ -128,7 +102,7 @@ std::string size_class_label(std::size_t i) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Report rendering (pure data; compiled in both ZS_HEAP_ENABLED modes).
+// Report rendering (pure data).
 
 std::string HeapReport::to_folded() const {
   std::string out;
@@ -219,7 +193,7 @@ std::string HeapReport::to_json(std::size_t top_n) const {
   for (const auto& [name, alloc] : span_bytes) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + heap_json_escape(name) +
+    out += "\"" + netbase::json_escape(name) +
            "\": {\"bytes\": " + std::to_string(alloc.bytes) +
            ", \"allocs\": " + std::to_string(alloc.allocs) + "}";
   }
@@ -229,15 +203,13 @@ std::string HeapReport::to_json(std::size_t top_n) const {
     if (shown >= top_n) break;
     if (shown != 0) out += ", ";
     ++shown;
-    out += "{\"stack\": \"" + heap_json_escape(site.stack) +
+    out += "{\"stack\": \"" + netbase::json_escape(site.stack) +
            "\", \"bytes\": " + std::to_string(site.bytes) +
            ", \"allocs\": " + std::to_string(site.allocs) + "}";
   }
   out += "]}";
   return out;
 }
-
-#if ZS_HEAP_ENABLED
 
 namespace {
 
@@ -256,8 +228,6 @@ const char* heap_intern_name(std::string_view name) {
 }
 
 }  // namespace
-
-#endif  // ZS_HEAP_ENABLED
 
 #if ZS_HEAP_INTERPOSE
 
@@ -1018,10 +988,10 @@ void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept {
 
 namespace zombiescope::obs {
 
-#elif ZS_HEAP_ENABLED  // compiled in, but no interposition (sanitizer)
+#else  // no interposition: a sanitizer build or a non-glibc platform
 
 // The sanitizer owns malloc; zsheap's hooks stay inert so the two
-// never fight (the hard ASan-conflict rule from ISSUE 6 / DESIGN.md).
+// never fight (DESIGN.md §7).
 
 bool heap_attribution_active() noexcept { return false; }
 const char* heap_intern(std::string_view name) { return heap_intern_name(name); }
@@ -1040,31 +1010,11 @@ bool HeapProfiler::running() const { return false; }
 std::uint64_t HeapProfiler::allocs_observed() const { return 0; }
 void heap_publish_metrics() {}
 
-#else  // !ZS_HEAP_ENABLED — every entry point is an inert stub.
-
-HeapProfiler& HeapProfiler::global() {
-  static auto* profiler = new HeapProfiler();
-  return *profiler;
-}
-bool HeapProfiler::interposition_compiled() { return false; }
-bool HeapProfiler::interposition_available() { return false; }
-bool HeapProfiler::start(const HeapProfilerOptions&) { return false; }
-HeapReport HeapProfiler::stop() { return {}; }
-bool HeapProfiler::running() const { return false; }
-std::uint64_t HeapProfiler::allocs_observed() const { return 0; }
-void heap_publish_metrics() {}
-
-#endif  // ZS_HEAP_INTERPOSE / ZS_HEAP_ENABLED
+#endif  // ZS_HEAP_INTERPOSE
 
 ScopedHeapSession::ScopedHeapSession(std::string path)
     : path_(std::move(path)) {
   if (path_.empty()) return;
-  if constexpr (!kHeapCompiledIn) {
-    std::fprintf(stderr,
-                 "--heap-out ignored: allocation profiler compiled out "
-                 "(ZS_HEAP_ENABLED=0)\n");
-    return;
-  }
   if (!HeapProfiler::interposition_available()) {
     std::fprintf(stderr,
                  "--heap-out ignored: allocator interposition unavailable "

@@ -24,8 +24,6 @@
 // (ASan/TSan/MSan own the allocator) compile the interposition out and
 // detect a sanitizer runtime at start() via weak __sanitizer symbols —
 // zsheap steps aside instead of fighting for malloc (DESIGN.md §7).
-// ZS_HEAP_ENABLED=0 removes every hook (empty inline bodies), enforced
-// by tests/heap_compileout_test like prof/causal.
 //
 // Surfaces: --heap-out on zssim/zsdetect/zslived, GET /heap?seconds=N
 // on the obs HTTP server, the `heap` section of every BENCH_*.json,
@@ -41,16 +39,11 @@
 #include <string_view>
 #include <vector>
 
-#ifndef ZS_HEAP_ENABLED
-#define ZS_HEAP_ENABLED 1
-#endif
-
 namespace zombiescope::obs {
 
-/// True when the allocation profiler hooks are compiled in. Call sites
-/// guard with `if constexpr (kHeapCompiledIn)` so a ZS_HEAP_ENABLED=0
-/// build executes exactly zero profiler code.
-inline constexpr bool kHeapCompiledIn = ZS_HEAP_ENABLED != 0;
+/// Always true: the allocation profiler is part of every build. Kept
+/// because the zsperf benchmark package still reads it.
+inline constexpr bool kHeapCompiledIn = true;
 
 /// Size-class histogram buckets: class i counts allocations with
 /// requested size <= 2^(i+4) bytes (16 B .. 256 KiB), the last class
@@ -81,7 +74,7 @@ struct HeapSpanAlloc {
 
 /// Aggregated result of one allocation-profiling session.
 struct HeapReport {
-  bool valid = false;  // false: profiler never ran (or compiled out)
+  bool valid = false;  // false: profiler never ran
   double duration_s = 0.0;
   std::uint64_t sample_every = 0;
 
@@ -129,15 +122,15 @@ class HeapProfiler {
   static HeapProfiler& global();
 
   /// True when this build carries the interposed allocator symbols
-  /// (Linux/glibc, no sanitizer). False under ASan/TSan/MSan or
-  /// ZS_HEAP_ENABLED=0 — the build defers to the sanitizer allocator.
+  /// (Linux/glibc, no sanitizer). False under ASan/TSan/MSan — the
+  /// build defers to the sanitizer allocator.
   static bool interposition_compiled();
   /// interposition_compiled() AND no sanitizer runtime is linked into
   /// the process (detected via weak __sanitizer symbols at runtime).
   static bool interposition_available();
 
-  /// Arms the accounting hooks. Returns false if already running,
-  /// compiled out, or interposition is unavailable (sanitizer build).
+  /// Arms the accounting hooks. Returns false if already running or
+  /// interposition is unavailable (sanitizer build).
   bool start(const HeapProfilerOptions& options = {});
 
   /// Disarms the hooks, drains the sample rings, symbolizes, and
@@ -181,11 +174,8 @@ void heap_publish_metrics();
 //
 // ScopedSpan pushes its interned name while a heap session is active
 // so the allocation hook can read the innermost span with two relaxed
-// loads. All of this is a no-op when no session runs, and compiles
-// away entirely when ZS_HEAP_ENABLED=0 (call sites guard with
-// kHeapCompiledIn).
+// loads. All of this is a no-op when no session runs.
 
-#if ZS_HEAP_ENABLED
 /// One relaxed atomic load: should spans register with the profiler?
 bool heap_attribution_active() noexcept;
 /// Returns a pointer that stays valid forever (names are interned).
@@ -193,11 +183,5 @@ const char* heap_intern(std::string_view name);
 /// Pushes/pops the calling thread's active-span stack.
 void heap_push_span(const char* interned_name) noexcept;
 void heap_pop_span() noexcept;
-#else
-inline bool heap_attribution_active() noexcept { return false; }
-inline const char* heap_intern(std::string_view) { return nullptr; }
-inline void heap_push_span(const char*) noexcept {}
-inline void heap_pop_span() noexcept {}
-#endif
 
 }  // namespace zombiescope::obs

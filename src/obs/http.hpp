@@ -14,16 +14,15 @@
 //                      (?n=N, default 256, capped at the recent buffer)
 //   GET /profile       sample the process with zsprof for ?seconds=N
 //                      (default 5, cap 60) and return folded stacks;
-//                      409 if a profiling session is already active,
-//                      501 when the profiler is compiled out
+//                      409 if a profiling session is already active
 //   GET /latency       the zslat stage-latency histograms as JSON
 //                      (p50/p95/p99 per registered histogram) or
 //                      folded per-bucket text with ?format=folded
 //   GET /heap          observe allocations with zsheap for ?seconds=N
 //                      (default 5, cap 60) and return per-span shares
 //                      + top sampled sites; 409 if a heap session is
-//                      already active, 501 when compiled out or the
-//                      allocator belongs to a sanitizer
+//                      already active, 501 when the allocator belongs
+//                      to a sanitizer
 //
 // Subsystems register additional endpoints before start():
 // add_endpoint() for plain request/response handlers (zslive's

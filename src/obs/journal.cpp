@@ -403,15 +403,7 @@ std::vector<JournalEvent> read_journal_file(const std::string& path) {
 // ---------------------------------------------------------------------------
 // The ring.
 
-Journal::Journal(std::size_t capacity) {
-  std::size_t cap = 2;
-  while (cap < capacity) cap <<= 1;
-  capacity_ = cap;
-  slots_ = std::make_unique<Slot[]>(cap);
-  for (std::size_t i = 0; i < cap; ++i) {
-    slots_[i].seq.store(i, std::memory_order_relaxed);
-  }
-}
+Journal::Journal(std::size_t capacity) : ring_(capacity) {}
 
 Journal& Journal::global() {
   static Journal* journal = [] {
@@ -429,59 +421,13 @@ void Journal::bind_counters(Counter emitted, Counter dropped) {
   m_dropped_ = dropped;
 }
 
-bool Journal::try_enqueue(const JournalEvent& event) {
-  const std::size_t mask = capacity_ - 1;
-  std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-  for (;;) {
-    Slot& slot = slots_[pos & mask];
-    const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
-    const auto dif =
-        static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos);
-    if (dif == 0) {
-      if (enqueue_pos_.compare_exchange_weak(pos, pos + 1,
-                                             std::memory_order_relaxed)) {
-        slot.event = event;
-        slot.seq.store(pos + 1, std::memory_order_release);
-        return true;
-      }
-    } else if (dif < 0) {
-      return false;  // full
-    } else {
-      pos = enqueue_pos_.load(std::memory_order_relaxed);
-    }
-  }
-}
-
-bool Journal::try_dequeue(JournalEvent& out) {
-  const std::size_t mask = capacity_ - 1;
-  std::uint64_t pos = dequeue_pos_.load(std::memory_order_relaxed);
-  for (;;) {
-    Slot& slot = slots_[pos & mask];
-    const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
-    const auto dif = static_cast<std::int64_t>(seq) -
-                     static_cast<std::int64_t>(pos + 1);
-    if (dif == 0) {
-      if (dequeue_pos_.compare_exchange_weak(pos, pos + 1,
-                                             std::memory_order_relaxed)) {
-        out = slot.event;
-        slot.seq.store(pos + capacity_, std::memory_order_release);
-        return true;
-      }
-    } else if (dif < 0) {
-      return false;  // empty
-    } else {
-      pos = dequeue_pos_.load(std::memory_order_relaxed);
-    }
-  }
-}
-
-void Journal::emit_runtime(std::uint32_t category, const JournalEvent& event) {
+void Journal::emit(std::uint32_t category, const JournalEvent& event) {
   if ((mask_.load(std::memory_order_relaxed) & category) == 0) return;
-  if (try_enqueue(event)) {
+  if (ring_.try_push(event)) {
     emitted_.fetch_add(1, std::memory_order_relaxed);
     m_emitted_.inc();
     if (autopump_.load(std::memory_order_relaxed) &&
-        approx_size() > capacity_ / 2) {
+        approx_size() > capacity() / 2) {
       pump();
     }
   } else {
@@ -490,17 +436,11 @@ void Journal::emit_runtime(std::uint32_t category, const JournalEvent& event) {
   }
 }
 
-std::size_t Journal::approx_size() const {
-  const std::uint64_t tail = enqueue_pos_.load(std::memory_order_relaxed);
-  const std::uint64_t head = dequeue_pos_.load(std::memory_order_relaxed);
-  return tail > head ? static_cast<std::size_t>(tail - head) : 0;
-}
-
 std::size_t Journal::pump() {
   std::lock_guard<std::mutex> lock(consumer_mutex_);
   std::size_t moved = 0;
   JournalEvent event;
-  while (try_dequeue(event)) {
+  while (ring_.try_pop(event)) {
     if (writer_ != nullptr) writer_->write(event);
     recent_.push_back(event);
     while (recent_.size() > kRecentCapacity) recent_.pop_front();
@@ -535,7 +475,7 @@ void Journal::close_writer() {
 void Journal::reset() {
   std::lock_guard<std::mutex> lock(consumer_mutex_);
   JournalEvent discard;
-  while (try_dequeue(discard)) {
+  while (ring_.try_pop(discard)) {
   }
   recent_.clear();
   emitted_.store(0, std::memory_order_relaxed);

@@ -15,18 +15,17 @@
 //  * zero overhead when idle — the journal is disabled by default; an
 //    instrumented call site costs one relaxed atomic load;
 //  * producers never block or allocate — emit() claims a slot in a
-//    lock-free bounded MPSC ring (Vyukov-style sequence numbers) and
-//    copies the POD event in; when the ring is full the event is
-//    dropped and counted, never waited for;
+//    lock-free bounded MPSC ring (netbase::Ring) and copies the POD
+//    event in; when the ring is full the event is dropped and counted,
+//    never waited for;
 //  * draining is strictly pull — pump() (the single consumer, guarded
 //    by a mutex so the exit-time flush and the HTTP /journal/tail
 //    endpoint can share it) moves events to the attached writer (NDJSON
 //    or a length-prefixed binary format) and a bounded recent-events
 //    buffer;
-//  * categories are filterable at compile time (ZS_JOURNAL_CATEGORIES)
-//    and at run time (set_enabled_categories), so the chatty
-//    message-level layer can be compiled out of a production build
-//    while the detector-decision layer stays.
+//  * categories are filterable at run time (set_enabled_categories),
+//    so the chatty message-level layer can stay off in a production
+//    run while the detector-decision layer records.
 
 #pragma once
 
@@ -43,15 +42,9 @@
 #include <vector>
 
 #include "netbase/ip.hpp"
+#include "netbase/ring.hpp"
 #include "netbase/time.hpp"
 #include "obs/metrics.hpp"
-
-/// Categories compiled into the binary. Call sites use the template
-/// emit<Cat>() so a category masked out here costs literally nothing —
-/// the call compiles to an empty function.
-#ifndef ZS_JOURNAL_CATEGORIES
-#define ZS_JOURNAL_CATEGORIES 0xffffffffu
-#endif
 
 namespace zombiescope::obs {
 
@@ -236,18 +229,9 @@ class Journal {
     return (mask_.load(std::memory_order_relaxed) & categories) != 0;
   }
 
-  /// Records an event under category `Cat`. Compiled out entirely when
-  /// the category is masked by ZS_JOURNAL_CATEGORIES; otherwise a
-  /// runtime mask check plus a lock-free ring enqueue.
-  template <std::uint32_t Cat>
-  void emit(const JournalEvent& event) {
-    if constexpr ((Cat & ZS_JOURNAL_CATEGORIES) == 0u) {
-      (void)event;
-    } else {
-      emit_runtime(Cat, event);
-    }
-  }
-  void emit_runtime(std::uint32_t category, const JournalEvent& event);
+  /// Records an event under `category`: a runtime mask check plus a
+  /// lock-free ring enqueue.
+  void emit(std::uint32_t category, const JournalEvent& event);
 
   /// Drains the ring: appends to the recent-events buffer and, if a
   /// writer is attached, streams to it. Safe to call from any thread
@@ -269,9 +253,9 @@ class Journal {
 
   std::uint64_t emitted() const { return emitted_.load(std::memory_order_relaxed); }
   std::uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return ring_.capacity(); }
   /// Events currently buffered (approximate under concurrent writers).
-  std::size_t approx_size() const;
+  std::size_t approx_size() const { return ring_.approx_size(); }
 
   /// Binds registry counters (zs_journal_events_*_total) so journal
   /// health shows up in /metrics. global() binds automatically.
@@ -282,14 +266,6 @@ class Journal {
   void reset();
 
  private:
-  struct Slot {
-    std::atomic<std::uint64_t> seq{0};
-    JournalEvent event;
-  };
-
-  bool try_enqueue(const JournalEvent& event);
-  bool try_dequeue(JournalEvent& out);  // callers hold consumer_mutex_
-
   std::atomic<std::uint32_t> mask_{0};
   std::atomic<bool> autopump_{false};
   std::atomic<std::uint64_t> emitted_{0};
@@ -297,10 +273,7 @@ class Journal {
   Counter m_emitted_;
   Counter m_dropped_;
 
-  std::size_t capacity_ = 0;  // power of two
-  std::unique_ptr<Slot[]> slots_;
-  alignas(64) std::atomic<std::uint64_t> enqueue_pos_{0};
-  alignas(64) std::atomic<std::uint64_t> dequeue_pos_{0};
+  netbase::Ring<JournalEvent> ring_;  // popped only under consumer_mutex_
 
   mutable std::mutex consumer_mutex_;
   std::deque<JournalEvent> recent_;

@@ -1,7 +1,5 @@
 #include "obs/lathist.hpp"
 
-#if ZS_LATHIST_ENABLED
-
 #include <algorithm>
 #include <map>
 #include <mutex>
@@ -213,5 +211,3 @@ void LatRegistry::reset_all() {
 }
 
 }  // namespace zombiescope::obs
-
-#endif  // ZS_LATHIST_ENABLED

@@ -24,11 +24,6 @@
 // when the component that registered them is torn down. The registry
 // renders everything as JSON (`/latency`, the BENCH_*.json `latency`
 // section) or folded text (`/latency?format=folded`).
-//
-// Compiling with ZS_LATHIST_ENABLED=0 (cmake -DZS_LATHIST=OFF) turns
-// every member into an empty inline body — like ZS_PROF_ENABLED /
-// ZS_HEAP_ENABLED, disabled means zero code and zero bytes executed
-// (enforced by lathist_compileout_test).
 
 #pragma once
 
@@ -39,16 +34,7 @@
 #include <string_view>
 #include <vector>
 
-#ifndef ZS_LATHIST_ENABLED
-#define ZS_LATHIST_ENABLED 1
-#endif
-
 namespace zombiescope::obs {
-
-/// True when the latency-histogram facility is compiled in. Call sites
-/// guard with `if constexpr (kLatHistCompiledIn)` when they want a
-/// ZS_LATHIST_ENABLED=0 build to execute exactly zero code.
-inline constexpr bool kLatHistCompiledIn = ZS_LATHIST_ENABLED != 0;
 
 /// Bucket geometry, shared by the live histogram and its snapshots.
 /// 2^kSubBits sub-buckets per octave bounds the relative quantization
@@ -89,8 +75,6 @@ constexpr std::uint64_t lat_bucket_upper(std::size_t i) noexcept {
 constexpr std::uint64_t lat_bucket_lower(std::size_t i) noexcept {
   return i == 0 ? 0 : lat_bucket_upper(i - 1) + 1;
 }
-
-#if ZS_LATHIST_ENABLED
 
 /// Immutable copy of a histogram's state. All quantile / merge / diff
 /// math happens here, on plain (non-atomic) data.
@@ -205,53 +189,5 @@ class LatRegistry {
   Impl* impl();
   const Impl* impl() const;
 };
-
-#else  // !ZS_LATHIST_ENABLED — every body inline and empty.
-
-struct LatSnapshot {
-  std::vector<std::uint64_t> counts;
-  std::uint64_t count = 0;
-  std::uint64_t sum_ns = 0;
-  std::uint64_t min_ns = 0;
-  std::uint64_t max_ns = 0;
-  bool empty() const noexcept { return true; }
-  double mean_ns() const noexcept { return 0.0; }
-  double quantile_ns(double) const noexcept { return 0.0; }
-  void merge(const LatSnapshot&) {}
-  LatSnapshot diff_since(const LatSnapshot&) const { return {}; }
-  std::string to_json() const { return "{}"; }
-};
-
-class LatHist {
- public:
-  LatHist() = default;
-  LatHist(const LatHist&) = delete;
-  LatHist& operator=(const LatHist&) = delete;
-  void record(std::uint64_t) noexcept {}
-  std::uint64_t count() const noexcept { return 0; }
-  LatSnapshot snapshot() const { return {}; }
-  void reset() noexcept {}
-};
-
-class LatRegistry {
- public:
-  static LatRegistry& global() {
-    static LatRegistry reg;
-    return reg;
-  }
-  LatHist& get(std::string_view) { return hist_; }
-  std::vector<std::pair<std::string, LatSnapshot>> snapshot_all() const {
-    return {};
-  }
-  std::string to_json() const { return "{}"; }
-  std::string to_folded() const { return {}; }
-  void reset_all() {}
-
- private:
-  LatRegistry() = default;
-  LatHist hist_;
-};
-
-#endif  // ZS_LATHIST_ENABLED
 
 }  // namespace zombiescope::obs

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#if ZS_PROF_ENABLED
 #include <cxxabi.h>
 #include <dlfcn.h>
 #include <errno.h>
@@ -25,7 +24,8 @@
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
-#endif
+
+#include "netbase/json.hpp"
 
 // The SIGPROF handler and the frame-pointer walk must not be
 // instrumented: sanitizer runtimes are not async-signal-safe, and the
@@ -42,28 +42,6 @@ namespace zombiescope::obs {
 
 namespace {
 
-std::string prof_json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string format_share(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.4f", v);
@@ -73,7 +51,7 @@ std::string format_share(double v) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Report rendering (pure data; compiled in both ZS_PROF_ENABLED modes).
+// Report rendering (pure data).
 
 std::string ProfileReport::to_folded() const {
   std::string out;
@@ -166,7 +144,7 @@ std::string ProfileReport::to_json(std::size_t top_n) const {
     const double share =
         samples == 0 ? 0.0
                      : static_cast<double>(count) / static_cast<double>(samples);
-    out += "\"" + prof_json_escape(name) + "\": {\"samples\": " +
+    out += "\"" + netbase::json_escape(name) + "\": {\"samples\": " +
            std::to_string(count) + ", \"share\": " + format_share(share) + "}";
   }
   out += "}, \"top_frames\": [";
@@ -175,15 +153,13 @@ std::string ProfileReport::to_json(std::size_t top_n) const {
     if (shown >= top_n) break;
     if (shown != 0) out += ", ";
     ++shown;
-    out += "{\"symbol\": \"" + prof_json_escape(frame.symbol) +
+    out += "{\"symbol\": \"" + netbase::json_escape(frame.symbol) +
            "\", \"self\": " + std::to_string(frame.self) +
            ", \"total\": " + std::to_string(frame.total) + "}";
   }
   out += "]}";
   return out;
 }
-
-#if ZS_PROF_ENABLED
 
 // ---------------------------------------------------------------------------
 // Thread state and the signal handler.
@@ -654,29 +630,9 @@ ProfileReport Profiler::stop() {
   return report;
 }
 
-#else  // !ZS_PROF_ENABLED — every entry point is an inert stub.
-
-Profiler& Profiler::global() {
-  static auto* profiler = new Profiler();
-  return *profiler;
-}
-
-bool Profiler::start(const ProfilerOptions&) { return false; }
-ProfileReport Profiler::stop() { return {}; }
-bool Profiler::running() const { return false; }
-std::uint64_t Profiler::samples_captured() const { return 0; }
-
-#endif  // ZS_PROF_ENABLED
-
 ScopedProfileSession::ScopedProfileSession(std::string path)
     : path_(std::move(path)) {
   if (path_.empty()) return;
-  if constexpr (!kProfCompiledIn) {
-    std::fprintf(stderr,
-                 "--profile-out ignored: profiler compiled out "
-                 "(ZS_PROF_ENABLED=0)\n");
-    return;
-  }
   active_ = Profiler::global().start();
   if (!active_)
     std::fprintf(stderr, "--profile-out ignored: cannot start profiler "

@@ -20,10 +20,8 @@
 // pre-registered thread state — no allocation, no locks, no dladdr; a
 // thread with no registered state loses the sample to a counter. The
 // frame-pointer walk is bounds-checked against the thread's stack
-// segment so a corrupt chain can never fault. Builds default to
-// -fno-omit-frame-pointer (ZS_PROF cmake option) so the walk sees real
-// frames; compiling with ZS_PROF_ENABLED=0 removes every hook — like
-// ZS_JOURNAL_CATEGORIES, disabled means zero code executed.
+// segment so a corrupt chain can never fault. Every target builds
+// with -fno-omit-frame-pointer so the walk sees real frames.
 
 #pragma once
 
@@ -33,16 +31,7 @@
 #include <string_view>
 #include <vector>
 
-#ifndef ZS_PROF_ENABLED
-#define ZS_PROF_ENABLED 1
-#endif
-
 namespace zombiescope::obs {
-
-/// True when the profiler hooks are compiled in. Call sites guard with
-/// `if constexpr (kProfCompiledIn)` so a ZS_PROF_ENABLED=0 build
-/// executes exactly zero profiler code.
-inline constexpr bool kProfCompiledIn = ZS_PROF_ENABLED != 0;
 
 struct ProfilerOptions {
   /// Samples per second of *process CPU time* (idle costs nothing).
@@ -60,7 +49,7 @@ struct ProfiledFrame {
 
 /// Aggregated result of one profiling session.
 struct ProfileReport {
-  bool valid = false;  // false: profiler never ran (or compiled out)
+  bool valid = false;  // false: profiler never ran
   int rate_hz = 0;
   double duration_s = 0.0;  // wall time between start() and stop()
   std::uint64_t samples = 0;
@@ -96,8 +85,7 @@ class Profiler {
   static Profiler& global();
 
   /// Installs the SIGPROF handler and arms the CPU-time timer.
-  /// Returns false if already running, compiled out, or the timer
-  /// cannot be created.
+  /// Returns false if already running or the timer cannot be created.
   bool start(const ProfilerOptions& options = {});
 
   /// Disarms the timer, drains every ring, symbolizes, and returns the
@@ -135,10 +123,8 @@ class ScopedProfileSession {
 //
 // ScopedSpan pushes its interned name while the profiler is active so
 // the SIGPROF handler can read the span stack signal-safely. All of
-// this is a no-op when no profiler runs, and compiles away entirely
-// when ZS_PROF_ENABLED=0 (call sites guard with kProfCompiledIn).
+// this is a no-op when no profiler runs.
 
-#if ZS_PROF_ENABLED
 /// One relaxed atomic load: should spans register with the profiler?
 bool prof_attribution_active() noexcept;
 /// Returns a pointer that stays valid forever (names are interned).
@@ -150,12 +136,5 @@ void prof_pop_span() noexcept;
 /// session started later (e.g. via GET /profile mid-run) can sample
 /// it. After the first call per thread this is one thread_local read.
 void prof_register_thread() noexcept;
-#else
-inline bool prof_attribution_active() noexcept { return false; }
-inline const char* prof_intern(std::string_view) { return nullptr; }
-inline void prof_push_span(const char*) noexcept {}
-inline void prof_pop_span() noexcept {}
-inline void prof_register_thread() noexcept {}
-#endif
 
 }  // namespace zombiescope::obs

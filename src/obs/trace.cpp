@@ -100,39 +100,30 @@ ScopedSpan::ScopedSpan(std::string_view name, Tracer& tracer) {
   parent_ = t_current_span;
   t_current_span = id_;
   // While a zsprof session runs, publish this span on the thread's
-  // signal-readable span stack so samples are phase-attributed.
-  // Compiles to nothing when the profiler is built out, and costs one
-  // relaxed load plus one thread_local read when no session is active.
+  // signal-readable span stack so samples are phase-attributed. Costs
+  // one relaxed load plus one thread_local read when no session is active.
   // Registration is unconditional so a session started mid-run (GET
   // /profile) can sample threads that are already inside their spans —
   // those samples are frame-attributed but span-less until the thread
   // opens its next span.
-  if constexpr (kProfCompiledIn) {
-    prof_register_thread();
-    if (prof_attribution_active()) {
-      prof_push_span(prof_intern(name_));
-      prof_pushed_ = true;
-    }
+  prof_register_thread();
+  if (prof_attribution_active()) {
+    prof_push_span(prof_intern(name_));
+    prof_pushed_ = true;
   }
   // Same deal for zsheap: while an allocation-profiling session runs,
   // publish this span so the allocator hook can credit bytes to it.
-  if constexpr (kHeapCompiledIn) {
-    if (heap_attribution_active()) {
-      heap_push_span(heap_intern(name_));
-      heap_pushed_ = true;
-    }
+  if (heap_attribution_active()) {
+    heap_push_span(heap_intern(name_));
+    heap_pushed_ = true;
   }
   start_ns_ = tracer.now_ns();
 }
 
 ScopedSpan::~ScopedSpan() {
   if (tracer_ == nullptr) return;
-  if constexpr (kProfCompiledIn) {
-    if (prof_pushed_) prof_pop_span();
-  }
-  if constexpr (kHeapCompiledIn) {
-    if (heap_pushed_) heap_pop_span();
-  }
+  if (prof_pushed_) prof_pop_span();
+  if (heap_pushed_) heap_pop_span();
   SpanRecord record;
   record.id = id_;
   record.parent = parent_;

@@ -29,7 +29,6 @@ std::int64_t parse_duration_ms(std::string_view text) {
   return n * mult;
 }
 
-#if ZS_TSDB_ENABLED
 
 namespace {
 
@@ -438,7 +437,7 @@ void Tsdb::evaluate_rules(std::int64_t now_ms) {
             ev.a = static_cast<std::int64_t>(std::llround(value * 1000.0));
             ev.b = static_cast<std::int64_t>(std::llround(threshold * 1000.0));
             ev.c = static_cast<std::int64_t>(i);
-            journal.emit<kCatAlert>(ev);
+            journal.emit(kCatAlert, ev);
           }
         }
       } else if (cleared) {
@@ -468,7 +467,7 @@ void Tsdb::evaluate_rules(std::int64_t now_ms) {
             ev.a = static_cast<std::int64_t>(std::llround(value * 1000.0));
             ev.b = static_cast<std::int64_t>(std::llround(threshold * 1000.0));
             ev.c = static_cast<std::int64_t>(i);
-            journal.emit<kCatAlert>(ev);
+            journal.emit(kCatAlert, ev);
           }
         }
       } else {
@@ -727,7 +726,5 @@ void Tsdb::attach_http(HttpServer& server) {
     return handle_alerts(target);
   });
 }
-
-#endif  // ZS_TSDB_ENABLED
 
 }  // namespace zombiescope::obs

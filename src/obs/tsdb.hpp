@@ -35,31 +35,20 @@
 //   GET /tsdb/query?metric=&range=&step=[&agg=rate]  JSON series
 //   GET /tsdb/metrics                                stored names
 //   GET /alerts                                      rule states
-//
-// Compiling with ZS_TSDB_ENABLED=0 (cmake -DZS_TSDB=OFF) turns every
-// member into an empty inline body, like ZS_PROF / ZS_HEAP /
-// ZS_LATHIST — enforced by tsdb_compileout_test.
 
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <string>
-#include <string_view>
-#include <vector>
-
-#ifndef ZS_TSDB_ENABLED
-#define ZS_TSDB_ENABLED 1
-#endif
-
-#if ZS_TSDB_ENABLED
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <thread>
-#endif
+#include <vector>
 
 #include "obs/lathist.hpp"
 #include "obs/metrics.hpp"
@@ -68,11 +57,6 @@ namespace zombiescope::obs {
 
 class HttpServer;
 struct HttpResponse;
-
-/// True when the time-series store is compiled in. Call sites guard
-/// with `if constexpr (kTsdbCompiledIn)` when a ZS_TSDB=OFF build must
-/// execute exactly zero code.
-inline constexpr bool kTsdbCompiledIn = ZS_TSDB_ENABLED != 0;
 
 /// How a series aggregates when a tier's step covers several samples,
 /// and whether rate() applies: counters keep the last cumulative value
@@ -154,8 +138,6 @@ struct AlertStatus {
   double for_seconds = 0.0;
   std::int64_t since_ms = 0;  // when the current state was entered
 };
-
-#if ZS_TSDB_ENABLED
 
 /// The store + sampler + alert engine. One instance per process is
 /// the expected shape (the tools create one next to their
@@ -282,50 +264,6 @@ class Tsdb {
   std::condition_variable wake_cv_;
   bool stop_requested_ = false;
 };
-
-#else  // !ZS_TSDB_ENABLED — every body inline and empty.
-
-class Tsdb {
- public:
-  using Config = TsdbConfig;
-
-  static std::vector<TsdbTier> default_tiers() { return {}; }
-
-  explicit Tsdb(Config = {}) {}
-  Tsdb(const Tsdb&) = delete;
-  Tsdb& operator=(const Tsdb&) = delete;
-
-  void add_probe(std::string, SeriesKind, std::function<double()>) {}
-  void add_rule(AlertRule) {}
-  bool start() { return false; }
-  void stop() {}
-  bool running() const { return false; }
-  void sample_once(std::int64_t) {}
-
-  std::vector<std::string> metric_names() const { return {}; }
-
-  enum class QueryStatus { kOk, kNotFound, kBadRequest };
-  struct QueryResult {
-    QueryStatus status = QueryStatus::kNotFound;
-    std::string error;
-    SeriesKind kind = SeriesKind::kGauge;
-    std::int64_t step_ms = 0;
-    std::vector<TsdbPoint> points;
-  };
-  QueryResult query(std::string_view, std::int64_t, std::int64_t,
-                    bool) const {
-    return {};
-  }
-
-  std::vector<AlertStatus> alert_statuses() const { return {}; }
-  std::size_t firing_count() const { return 0; }
-  std::string firing_names() const { return {}; }
-  std::string alerts_json() const { return "{}"; }
-
-  void attach_http(HttpServer&) {}
-};
-
-#endif  // ZS_TSDB_ENABLED
 
 /// "12s" / "5m" / "2h" / bare seconds -> milliseconds; 0 on parse
 /// failure or non-positive input. Shared by the query handler and the

@@ -28,30 +28,25 @@ void journal_fault(obs::JournalEventType type, netbase::TimePoint at, bgp::Asn f
   }
   ev.a = from;
   ev.b = to;
-  journal.emit<obs::kCatFault>(ev);
+  journal.emit(obs::kCatFault, ev);
 }
 
 // Causal-tracing hook: one HopRecord per link traversal outcome.
-// Compiles to nothing when ZS_CAUSAL_ENABLED=0, and costs one branch
-// (ctx.sampled()) per hop of an unsampled wave otherwise.
+// Costs one branch (ctx.sampled()) per hop of an unsampled wave.
 void record_hop(const obs::TraceContext& ctx, const netbase::Prefix& prefix,
                 bgp::Asn from, bgp::Asn to, netbase::TimePoint at, obs::TraceKind kind,
                 obs::HopDecision decision) {
-  if constexpr (obs::kCausalCompiledIn) {
-    if (!ctx.sampled()) return;
-    obs::HopRecord record;
-    record.trace_id = ctx.trace_id;
-    record.prefix = prefix;
-    record.from_asn = from;
-    record.to_asn = to;
-    record.time = at;
-    record.hop = ctx.hop;
-    record.kind = kind;
-    record.decision = decision;
-    obs::causal_record(record);
-  } else {
-    (void)ctx, (void)prefix, (void)from, (void)to, (void)at, (void)kind, (void)decision;
-  }
+  if (!ctx.sampled()) return;
+  obs::HopRecord record;
+  record.trace_id = ctx.trace_id;
+  record.prefix = prefix;
+  record.from_asn = from;
+  record.to_asn = to;
+  record.time = at;
+  record.hop = ctx.hop;
+  record.kind = kind;
+  record.decision = decision;
+  obs::causal_record(record);
 }
 
 }  // namespace

@@ -195,7 +195,7 @@ IntervalDetectionResult IntervalZombieDetector::detect(
           ev.b = event.withdraw_time;
           ev.c = interval.start;
           ev.type = obs::JournalEventType::kThresholdCrossed;
-          journal.emit<obs::kCatDetector>(ev);
+          journal.emit(obs::kCatDetector, ev);
           if (route.duplicate) {
             ev.type = obs::JournalEventType::kDuplicateSuppressed;
             ev.a = *route.aggregator_time;
@@ -204,7 +204,7 @@ IntervalDetectionResult IntervalZombieDetector::detect(
           } else {
             ev.type = obs::JournalEventType::kZombieDeclared;
           }
-          journal.emit<obs::kCatDetector>(ev);
+          journal.emit(obs::kCatDetector, ev);
         }
 
         outbreak.routes.push_back(route);

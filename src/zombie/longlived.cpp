@@ -90,9 +90,9 @@ LongLivedResult LongLivedZombieDetector::detect(
         ev.b = event.withdraw_time;
         ev.c = event.announce_time;
         ev.type = obs::JournalEventType::kThresholdCrossed;
-        journal.emit<obs::kCatDetector>(ev);
+        journal.emit(obs::kCatDetector, ev);
         ev.type = obs::JournalEventType::kZombieDeclared;
-        journal.emit<obs::kCatDetector>(ev);
+        journal.emit(obs::kCatDetector, ev);
       }
     }
     ZombieOutbreak outbreak;
@@ -221,7 +221,7 @@ std::vector<OutbreakLifespan> LifespanAnalyzer::analyze(
           ev.peer_address = res.peer.address;
           ev.a = res.vanished_at;
           ev.b = res.reappeared_at;
-          journal.emit<obs::kCatLifespan>(ev);
+          journal.emit(obs::kCatLifespan, ev);
         }
         lifespan.resurrections.push_back(res);
       }
@@ -235,7 +235,7 @@ std::vector<OutbreakLifespan> LifespanAnalyzer::analyze(
       ev.prefix = prefix;
       ev.a = lifespan.withdraw_time;
       ev.b = lifespan.last_seen;
-      journal.emit<obs::kCatLifespan>(ev);
+      journal.emit(obs::kCatLifespan, ev);
     }
 
     out.push_back(std::move(lifespan));

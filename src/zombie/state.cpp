@@ -21,7 +21,7 @@ void journal_message(obs::JournalEventType type, const PeerKey& peer,
   ev.has_peer = true;
   ev.peer_asn = peer.asn;
   ev.peer_address = peer.address;
-  obs::Journal::global().emit<obs::kCatState>(ev);
+  obs::Journal::global().emit(obs::kCatState, ev);
 }
 
 }  // namespace
@@ -84,7 +84,7 @@ void StateTracker::apply(const mrt::MrtRecord& record) {
         ev.has_peer = true;
         ev.peer_asn = peer.asn;
         ev.peer_address = peer.address;
-        obs::Journal::global().emit<obs::kCatState>(ev);
+        obs::Journal::global().emit(obs::kCatState, ev);
       }
     }
     return;

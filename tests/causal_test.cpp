@@ -18,8 +18,6 @@
 namespace zombiescope::obs {
 namespace {
 
-static_assert(kCausalCompiledIn, "the main test build carries the tracer");
-
 netbase::Prefix p(const std::string& text) { return netbase::Prefix::parse(text); }
 
 HopRecord make_hop(std::uint64_t trace_id, std::uint32_t from, std::uint32_t to,

@@ -3,12 +3,21 @@
 // crashes, hangs, or silent garbage. A measurement pipeline that
 // ingests years of third-party MRT archives lives or dies on this
 // (the paper cites corrupted records from FRR ADD-PATH encodings as a
-// real operational hazard).
+// real operational hazard). The JSON codec gets the same treatment:
+// RIS-Live lines arrive from the network, so a mutated line must parse
+// or be rejected, never crash or throw.
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "beacon/clock.hpp"
+#include "live/feed.hpp"
+#include "live/service.hpp"
 #include "mrt/codec.hpp"
+#include "netbase/json.hpp"
 #include "netbase/rng.hpp"
 
 namespace zombiescope {
@@ -182,6 +191,116 @@ TEST(ClockFuzz, AggregatorDecodeTotalOnAllAddresses) {
     }
   }
 }
+
+// --- JSON ------------------------------------------------------------
+
+// The RIS-Live fixture line live_test parses (wrapped UPDATE with an
+// AS_SET in the path).
+constexpr const char* kRisLiveSeed =
+    R"({"type":"ris_message","data":{"timestamp":1717500000.42,)"
+    R"("peer":"192.0.2.1","peer_asn":"64500","type":"UPDATE",)"
+    R"("path":[64500,[25091,25092],8298,210312],)"
+    R"("announcements":[{"next_hop":"192.0.2.1",)"
+    R"("prefixes":["93.175.147.0/24","2a0d:3dc1:1200::/48"]}],)"
+    R"("withdrawals":["93.175.146.0/24"]}})";
+
+std::string bench_snapshot_seed() {
+  std::ifstream in(ZS_SOURCE_DIR "/BENCH_tsdb_overhead.json");
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+std::string live_stats_seed() {
+  live::LiveConfig config;
+  config.shards = 2;
+  live::LiveService service(config);
+  return service.stats_json();
+}
+
+/// The three seed documents; each must parse unmutated, or the fuzz
+/// would only ever exercise the first-byte rejection path.
+std::vector<std::string> json_seeds() {
+  std::vector<std::string> seeds = {kRisLiveSeed, bench_snapshot_seed(),
+                                    live_stats_seed()};
+  for (const std::string& seed : seeds) {
+    EXPECT_TRUE(netbase::parse_json(seed).has_value()) << seed.substr(0, 80);
+  }
+  return seeds;
+}
+
+/// One to eight byte-level edits of one kind: 0 truncates, 1 flips
+/// bits, 2 inserts bytes (biased towards JSON's structural characters
+/// so insertions reach past the first token).
+std::string mutate_json(std::string doc, int kind, Rng& rng) {
+  if (kind == 0) {
+    doc.resize(rng.index(doc.size() + 1));
+    return doc;
+  }
+  static constexpr char kStructural[] = "{}[]\",:\\u0-e.";
+  const int edits = static_cast<int>(rng.uniform_int(1, 8));
+  for (int e = 0; e < edits; ++e) {
+    const std::size_t pos = rng.index(doc.size() + (kind == 2 ? 1 : 0));
+    if (kind == 1) {
+      if (doc.empty()) break;
+      doc[pos] = static_cast<char>(doc[pos] ^ (1 << rng.uniform_int(0, 7)));
+    } else {
+      const char c = rng.chance(0.5)
+                         ? kStructural[rng.index(sizeof(kStructural) - 1)]
+                         : static_cast<char>(rng.uniform_int(0, 255));
+      doc.insert(doc.begin() + static_cast<long>(pos), c);
+    }
+  }
+  return doc;
+}
+
+// A fixed budget per seed document and mutation kind.
+constexpr int kJsonFuzzIterations = 2000;
+
+class JsonFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(JsonFuzz, MutatedDocumentsParseOrReject) {
+  Rng rng(GetParam());
+  for (const std::string& seed : json_seeds()) {
+    for (int kind = 0; kind < 3; ++kind) {
+      for (int iter = 0; iter < kJsonFuzzIterations; ++iter) {
+        const std::string doc = mutate_json(seed, kind, rng);
+        const auto parsed = netbase::parse_json(doc);
+        if (parsed.has_value() && parsed->kind == netbase::JsonValue::Kind::kObject) {
+          (void)parsed->find("type");
+        }
+      }
+    }
+  }
+}
+
+TEST_P(JsonFuzz, TruncatedDocumentsAreRejected) {
+  // Each seed instance covers every third length; together they cover
+  // every cut before the document's closing brace.
+  for (const std::string& seed : json_seeds()) {
+    const std::size_t closing = seed.rfind('}');
+    for (std::size_t len = GetParam() % 3; len <= closing; len += 3) {
+      EXPECT_FALSE(netbase::parse_json(seed.substr(0, len)).has_value())
+          << "prefix of length " << len;
+    }
+  }
+}
+
+TEST_P(JsonFuzz, MutatedRisLiveLinesNeverThrow) {
+  Rng rng(GetParam() + 1);
+  int parsed = 0;
+  for (int kind = 0; kind < 3; ++kind) {
+    for (int iter = 0; iter < kJsonFuzzIterations; ++iter) {
+      const std::string line = mutate_json(kRisLiveSeed, kind, rng);
+      EXPECT_NO_THROW({
+        if (live::parse_ris_live_line(line).has_value()) ++parsed;
+      }) << line;
+    }
+  }
+  EXPECT_GT(parsed, 0);  // some edits are benign (inside a string, say)
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JsonFuzz, ::testing::Values(101, 202, 303));
 
 }  // namespace
 }  // namespace zombiescope

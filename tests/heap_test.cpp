@@ -42,7 +42,7 @@ void churn(std::size_t count, std::size_t size) {
 }
 
 bool sessions_available() {
-  return obs::kHeapCompiledIn && obs::HeapProfiler::interposition_available();
+  return obs::HeapProfiler::interposition_available();
 }
 
 #define SKIP_WITHOUT_INTERPOSITION()                                     \
@@ -54,9 +54,8 @@ bool sessions_available() {
 
 TEST(ObsHeap, InterposedSymbolsLiveInThisBinary) {
   SKIP_WITHOUT_INTERPOSITION();
-  // The mirror image of heap_compileout_test: with the profiler
-  // compiled in, the global-scope malloc must resolve to this
-  // executable's strong override, not to libc.
+  // With interposition available, the global-scope malloc must
+  // resolve to this executable's strong override, not to libc.
   void* addr = dlsym(RTLD_DEFAULT, "malloc");
   ASSERT_NE(addr, nullptr);
   Dl_info info{};

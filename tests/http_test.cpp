@@ -115,7 +115,7 @@ TEST_F(ObsHttp, JournalTailServesRecentEvents) {
   ev.time = 1234;
   ev.a = 11;
   ev.b = 12;
-  journal.emit<kCatFault>(ev);
+  journal.emit(kCatFault, ev);
   const Response res = http_get(server_.port(), "/journal/tail?n=8");
   journal.set_enabled_categories(saved);
   EXPECT_EQ(res.status, 200);
@@ -141,10 +141,10 @@ TEST_F(ObsHttp, JournalTailCategoryFilter) {
   JournalEvent fault;
   fault.type = JournalEventType::kFaultReceiveStall;
   fault.a = 65001;
-  journal.emit<kCatFault>(fault);
+  journal.emit(kCatFault, fault);
   JournalEvent detect;
   detect.type = JournalEventType::kZombieDeclared;
-  journal.emit<kCatDetector>(detect);
+  journal.emit(kCatDetector, detect);
 
   const Response faults = http_get(server_.port(), "/journal/tail?category=fault");
   EXPECT_EQ(faults.status, 200);

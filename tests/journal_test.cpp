@@ -161,13 +161,13 @@ TEST(ObsJournalCodec, CorruptBinaryFileThrows) {
 TEST(ObsJournal, DisabledByDefaultAndRuntimeMaskFilters) {
   Journal journal(16);
   JournalEvent ev = sample_event();
-  journal.emit<kCatDetector>(ev);  // mask is 0: dropped silently
+  journal.emit(kCatDetector, ev);  // mask is 0: dropped silently
   EXPECT_EQ(journal.emitted(), 0u);
   EXPECT_EQ(journal.dropped(), 0u);
 
   journal.set_enabled_categories(kCatDetector);
-  journal.emit<kCatDetector>(ev);
-  journal.emit<kCatFault>(ev);  // filtered: not the enabled category
+  journal.emit(kCatDetector, ev);
+  journal.emit(kCatFault, ev);  // filtered: not the enabled category
   EXPECT_EQ(journal.emitted(), 1u);
   EXPECT_EQ(journal.tail(10).size(), 1u);
   EXPECT_TRUE(journal.enabled(kCatDetector));
@@ -181,7 +181,7 @@ TEST(ObsJournal, RingDropsWhenFullAndCounts) {
   JournalEvent ev = sample_event();
   for (int i = 0; i < 10; ++i) {
     ev.a = i;
-    journal.emit<kCatDetector>(ev);
+    journal.emit(kCatDetector, ev);
   }
   EXPECT_EQ(journal.emitted(), 4u);
   EXPECT_EQ(journal.dropped(), 6u);
@@ -191,7 +191,7 @@ TEST(ObsJournal, RingDropsWhenFullAndCounts) {
   for (int i = 0; i < 4; ++i) EXPECT_EQ(tail[static_cast<std::size_t>(i)].a, i);
   // Draining frees the slots for further emission.
   ev.a = 99;
-  journal.emit<kCatDetector>(ev);
+  journal.emit(kCatDetector, ev);
   EXPECT_EQ(journal.emitted(), 5u);
 }
 
@@ -201,7 +201,7 @@ TEST(ObsJournal, TailReturnsMostRecentOldestFirst) {
   JournalEvent ev = sample_event();
   for (int i = 0; i < 10; ++i) {
     ev.a = i;
-    journal.emit<kCatDetector>(ev);
+    journal.emit(kCatDetector, ev);
   }
   const auto tail = journal.tail(3);
   ASSERT_EQ(tail.size(), 3u);
@@ -217,7 +217,7 @@ TEST(ObsJournal, PumpStreamsToAttachedWriter) {
   JournalEvent ev = sample_event();
   for (int i = 0; i < 5; ++i) {
     ev.a = i;
-    journal.emit<kCatDetector>(ev);
+    journal.emit(kCatDetector, ev);
   }
   EXPECT_EQ(journal.pump(), 5u);
   journal.close_writer();
@@ -231,7 +231,7 @@ TEST(ObsJournal, ResetClearsBufferedAndCounts) {
   Journal journal(16);
   journal.set_enabled_categories(kCatAll);
   JournalEvent ev = sample_event();
-  journal.emit<kCatDetector>(ev);
+  journal.emit(kCatDetector, ev);
   journal.reset();
   EXPECT_EQ(journal.emitted(), 0u);
   EXPECT_EQ(journal.dropped(), 0u);
@@ -259,7 +259,7 @@ TEST(ObsJournalConcurrency, DrainUnderConcurrentWriters) {
       ev.a = t;
       for (int i = 0; i < kPerThread; ++i) {
         ev.b = i;
-        journal.emit<kCatState>(ev);
+        journal.emit(kCatState, ev);
       }
     });
   }
@@ -281,7 +281,7 @@ TEST(ObsJournalConcurrency, GlobalJournalBindsRegistryCounters) {
   const auto before = Registry::global().snapshot();
   const std::uint64_t* emitted_before =
       before.counter("zs_journal_events_emitted_total");
-  journal.emit<kCatDetector>(sample_event());
+  journal.emit(kCatDetector, sample_event());
   const auto after = Registry::global().snapshot();
   const std::uint64_t* emitted_after =
       after.counter("zs_journal_events_emitted_total");

@@ -17,9 +17,6 @@
 namespace zombiescope::obs {
 namespace {
 
-static_assert(kLatHistCompiledIn,
-              "the plain build must compile the latency histograms in");
-
 // Deterministic 64-bit values spanning the whole range (splitmix64).
 std::uint64_t mix(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);

@@ -244,7 +244,7 @@ int run(const Options& opt) {
         ev.has_peer = true;
         ev.peer_asn = peer.asn;
         ev.peer_address = peer.address;
-        journal.emit<obs::kCatNoise>(ev);
+        journal.emit(obs::kCatNoise, ev);
       }
     }
   }
@@ -267,7 +267,7 @@ int run(const Options& opt) {
                                    : result.total_announcements;
     meta.b = opt.threshold;
     meta.c = opt.end;
-    journal.emit<obs::kCatRun>(meta);
+    journal.emit(obs::kCatRun, meta);
   }
 
   // Aggregator-clock dedup (meaningful for RIS-style beacons): run the
@@ -372,7 +372,7 @@ int main(int argc, char** argv) {
   obs::Tsdb tsdb(tsdb_config);
   obs::HttpServer http;
   if (opt.http_port >= 0) {
-    const bool tsdb_on = obs::kTsdbCompiledIn && opt.tsdb_cadence_ms > 0;
+    const bool tsdb_on = opt.tsdb_cadence_ms > 0;
     if (tsdb_on) tsdb.attach_http(http);
     if (!http.start(static_cast<std::uint16_t>(opt.http_port))) {
       std::fprintf(stderr, "error: cannot bind HTTP port %d\n", opt.http_port);

@@ -17,8 +17,8 @@
 //   alerts       every rule with state / value / threshold, firing first
 //
 // Capability detection goes through GET / (the endpoint index): when
-// the server was built with ZS_TSDB=OFF or started with
-// --tsdb-cadence-ms 0 there is no /tsdb/query to poll, and zstop says
+// the server was started with --tsdb-cadence-ms 0 (or is a daemon
+// without a store) there is no /tsdb/query to poll, and zstop says
 // so instead of rendering empty panels. Individual series that do not
 // exist (yet) render as "n/a" — a daemon that has not published its
 // first snapshot is not an error.
@@ -47,6 +47,7 @@
 #include <utility>
 #include <vector>
 
+#include "netbase/json.hpp"
 #include "obs/build_info.hpp"
 
 namespace {
@@ -55,127 +56,8 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void on_signal(int) { g_stop = 1; }
 
-// ---------------------------------------------------------------- JSON
-
-// Just enough JSON for the zsobs endpoints: objects, arrays, numbers,
-// strings (escapes decoded, \uXXXX collapsed to '?'), bools, null.
-struct Json {
-  enum Kind { kNull, kBool, kNum, kStr, kArr, kObj };
-  Kind kind = kNull;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<Json> arr;
-  std::vector<std::pair<std::string, Json>> obj;
-
-  const Json* get(std::string_view key) const {
-    if (kind != kObj) return nullptr;
-    for (const auto& [k, v] : obj)
-      if (k == key) return &v;
-    return nullptr;
-  }
-  double number_or(double fallback) const { return kind == kNum ? num : fallback; }
-  std::string string_or(std::string fallback) const {
-    return kind == kStr ? str : std::move(fallback);
-  }
-};
-
-struct JsonParser {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t' ||
-                                 text[pos] == '\n' || text[pos] == '\r'))
-      ++pos;
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) { ++pos; return true; }
-    return false;
-  }
-  bool parse_string(std::string& out) {
-    if (!eat('"')) return false;
-    out.clear();
-    while (pos < text.size()) {
-      char c = text[pos++];
-      if (c == '"') return true;
-      if (c == '\\' && pos < text.size()) {
-        char e = text[pos++];
-        switch (e) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u': out += '?'; pos = pos + 4 <= text.size() ? pos + 4 : text.size(); break;
-          default: out += e; break;
-        }
-      } else {
-        out += c;
-      }
-    }
-    return false;
-  }
-  bool parse_value(Json& out, int depth = 0) {
-    if (depth > 32) return false;
-    skip_ws();
-    if (pos >= text.size()) return false;
-    const char c = text[pos];
-    if (c == '{') {
-      ++pos;
-      out.kind = Json::kObj;
-      skip_ws();
-      if (eat('}')) return true;
-      while (true) {
-        std::string key;
-        if (!parse_string(key)) return false;
-        if (!eat(':')) return false;
-        Json val;
-        if (!parse_value(val, depth + 1)) return false;
-        out.obj.emplace_back(std::move(key), std::move(val));
-        if (eat(',')) continue;
-        return eat('}');
-      }
-    }
-    if (c == '[') {
-      ++pos;
-      out.kind = Json::kArr;
-      skip_ws();
-      if (eat(']')) return true;
-      while (true) {
-        Json val;
-        if (!parse_value(val, depth + 1)) return false;
-        out.arr.push_back(std::move(val));
-        if (eat(',')) continue;
-        return eat(']');
-      }
-    }
-    if (c == '"') {
-      out.kind = Json::kStr;
-      return parse_string(out.str);
-    }
-    if (text.compare(pos, 4, "true") == 0) {
-      out.kind = Json::kBool; out.b = true; pos += 4; return true;
-    }
-    if (text.compare(pos, 5, "false") == 0) {
-      out.kind = Json::kBool; out.b = false; pos += 5; return true;
-    }
-    if (text.compare(pos, 4, "null") == 0) {
-      out.kind = Json::kNull; pos += 4; return true;
-    }
-    char* end = nullptr;
-    const std::string num_text(text.substr(pos, 64));
-    out.num = std::strtod(num_text.c_str(), &end);
-    if (end == num_text.c_str()) return false;
-    out.kind = Json::kNum;
-    pos += static_cast<std::size_t>(end - num_text.c_str());
-    return true;
-  }
-};
-
-bool parse_json(std::string_view text, Json& out) {
-  JsonParser p{text};
-  return p.parse_value(out);
-}
+using Json = zombiescope::netbase::JsonValue;
+using JsonKind = Json::Kind;
 
 // ---------------------------------------------------------------- HTTP
 
@@ -302,7 +184,10 @@ struct Client {
     std::string body;
     if (!http_get(host, port, path, status, body)) return false;
     if (status != 200) return true;  // reached the server; no JSON expected
-    return parse_json(body, out);
+    auto doc = zombiescope::netbase::parse_json(body);
+    if (!doc) return false;
+    out = std::move(*doc);
+    return true;
   }
 
   Series query(const std::string& metric, const char* agg) const {
@@ -313,11 +198,11 @@ struct Client {
     Json doc;
     int status = 0;
     if (!get_json(path, doc, status) || status != 200) return s;
-    const Json* points = doc.get("points");
-    if (points == nullptr || points->kind != Json::kArr) return s;
-    for (const Json& p : points->arr) {
-      if (p.kind != Json::kArr || p.arr.size() != 2) continue;
-      s.values.push_back(p.arr[1].number_or(0.0));
+    const Json* points = doc.find("points");
+    if (points == nullptr || points->kind != JsonKind::kArray) return s;
+    for (const Json& p : points->array) {
+      if (p.kind != JsonKind::kArray || p.array.size() != 2) continue;
+      s.values.push_back(p.array[1].number_or(0.0));
     }
     if (!s.values.empty()) {
       s.ok = true;
@@ -349,10 +234,10 @@ bool render_frame(const Client& client, const Style& style, std::string& out) {
   bool has_alerts = false;
   bool has_peers = false;
   bool has_sessions = false;
-  if (const Json* endpoints = index.get("endpoints");
-      endpoints != nullptr && endpoints->kind == Json::kArr) {
-    for (const Json& e : endpoints->arr) {
-      const Json* path = e.get("path");
+  if (const Json* endpoints = index.find("endpoints");
+      endpoints != nullptr && endpoints->kind == JsonKind::kArray) {
+    for (const Json& e : endpoints->array) {
+      const Json* path = e.find("path");
       if (path == nullptr) continue;
       if (path->str == "/tsdb/query") has_tsdb = true;
       if (path->str == "/alerts") has_alerts = true;
@@ -370,8 +255,8 @@ bool render_frame(const Client& client, const Style& style, std::string& out) {
          " — " + now_text + "\n\n";
 
   if (!has_tsdb) {
-    out += "no /tsdb endpoints on this server — built with ZS_TSDB=OFF,\n"
-           "or started with --tsdb-cadence-ms 0. Nothing to render.\n";
+    out += "no /tsdb endpoints on this server — started with\n"
+           "--tsdb-cadence-ms 0? Nothing to render.\n";
     return true;
   }
 
@@ -384,11 +269,11 @@ bool render_frame(const Client& client, const Style& style, std::string& out) {
   Json metrics_doc;
   std::vector<std::string> p99_names;
   if (client.get_json("/tsdb/metrics", metrics_doc, status) && status == 200) {
-    if (const Json* metrics = metrics_doc.get("metrics");
-        metrics != nullptr && metrics->kind == Json::kArr) {
-      for (const Json& m : metrics->arr) {
-        const Json* name = m.get("name");
-        if (name == nullptr || name->kind != Json::kStr) continue;
+    if (const Json* metrics = metrics_doc.find("metrics");
+        metrics != nullptr && metrics->kind == JsonKind::kArray) {
+      for (const Json& m : metrics->array) {
+        const Json* name = m.find("name");
+        if (name == nullptr || name->kind != JsonKind::kString) continue;
         const std::string& n = name->str;
         if (n.rfind("latency:", 0) == 0 && n.size() > 4 &&
             n.compare(n.size() - 4, 4, ":p99") == 0)
@@ -433,7 +318,7 @@ bool render_frame(const Client& client, const Style& style, std::string& out) {
     Json peers;
     if (client.get_json("/peers", peers, status) && status == 200) {
       const auto count_of = [&peers](const char* key) {
-        const Json* v = peers.get(key);
+        const Json* v = peers.find(key);
         return v != nullptr ? static_cast<int>(v->number_or(0)) : 0;
       };
       const int feeding = count_of("feeding_count");
@@ -448,38 +333,38 @@ bool render_frame(const Client& client, const Style& style, std::string& out) {
       render_series_row(out, "", "noisy count", noisy_series,
                         fmt_si(noisy_series.last));
       // Worst stuck probabilities, noisy and silent rows always shown.
-      if (const Json* rows = peers.get("peers");
-          rows != nullptr && rows->kind == Json::kArr) {
+      if (const Json* rows = peers.find("peers");
+          rows != nullptr && rows->kind == JsonKind::kArray) {
         std::vector<const Json*> ranked;
-        for (const Json& r : rows->arr) ranked.push_back(&r);
+        for (const Json& r : rows->array) ranked.push_back(&r);
         std::sort(ranked.begin(), ranked.end(), [](const Json* a, const Json* b) {
-          const double pa = a->get("probability") != nullptr
-                                ? a->get("probability")->number_or(0) : 0;
-          const double pb = b->get("probability") != nullptr
-                                ? b->get("probability")->number_or(0) : 0;
+          const double pa = a->find("probability") != nullptr
+                                ? a->find("probability")->number_or(0) : 0;
+          const double pb = b->find("probability") != nullptr
+                                ? b->find("probability")->number_or(0) : 0;
           return pa > pb;
         });
         int shown = 0;
         for (const Json* r : ranked) {
-          const bool is_noisy = r->get("noisy") != nullptr && r->get("noisy")->b;
-          const bool is_silent = r->get("silent") != nullptr && r->get("silent")->b;
+          const bool is_noisy = r->find("noisy") != nullptr && r->find("noisy")->boolean;
+          const bool is_silent = r->find("silent") != nullptr && r->find("silent")->boolean;
           if (shown >= 3 && !is_noisy && !is_silent) break;
-          const double p = r->get("probability") != nullptr
-                               ? r->get("probability")->number_or(0) : 0;
-          const double lo = r->get("wilson_low") != nullptr
-                                ? r->get("wilson_low")->number_or(0) : 0;
-          const double hi = r->get("wilson_high") != nullptr
-                                ? r->get("wilson_high")->number_or(0) : 0;
+          const double p = r->find("probability") != nullptr
+                               ? r->find("probability")->number_or(0) : 0;
+          const double lo = r->find("wilson_low") != nullptr
+                                ? r->find("wilson_low")->number_or(0) : 0;
+          const double hi = r->find("wilson_high") != nullptr
+                                ? r->find("wilson_high")->number_or(0) : 0;
           char row[192];
           std::snprintf(row, sizeof(row),
                         "  AS%-8d %-24s p=%.3f [%.3f,%.3f] stuck %-6d%s%s\n",
-                        r->get("asn") != nullptr
-                            ? static_cast<int>(r->get("asn")->number_or(0)) : 0,
-                        r->get("address") != nullptr
-                            ? r->get("address")->string_or("?").c_str() : "?",
+                        r->find("asn") != nullptr
+                            ? static_cast<int>(r->find("asn")->number_or(0)) : 0,
+                        r->find("address") != nullptr
+                            ? r->find("address")->string_or("?").c_str() : "?",
                         p, lo, hi,
-                        r->get("stuck") != nullptr
-                            ? static_cast<int>(r->get("stuck")->number_or(0)) : 0,
+                        r->find("stuck") != nullptr
+                            ? static_cast<int>(r->find("stuck")->number_or(0)) : 0,
                         is_noisy ? " NOISY" : "", is_silent ? " SILENT" : "");
           const std::string text(row);
           out += is_noisy ? style.red(text) : is_silent ? style.yellow(text) : text;
@@ -499,7 +384,7 @@ bool render_frame(const Client& client, const Style& style, std::string& out) {
     Json sessions;
     if (client.get_json("/sessions", sessions, status) && status == 200) {
       const auto count_of = [&sessions](const char* key) {
-        const Json* v = sessions.get(key);
+        const Json* v = sessions.find(key);
         return v != nullptr ? static_cast<int>(v->number_or(0)) : 0;
       };
       const int established = count_of("established");
@@ -509,30 +394,30 @@ bool render_frame(const Client& client, const Style& style, std::string& out) {
              std::to_string(established) + " established, " +
              (stale > 0 ? style.red(style.bold(stale_text)) : style.green(stale_text)) +
              "\n";
-      if (const Json* rows = sessions.get("sessions");
-          rows != nullptr && rows->kind == Json::kArr) {
+      if (const Json* rows = sessions.find("sessions");
+          rows != nullptr && rows->kind == JsonKind::kArray) {
         int shown = 0;
-        for (const Json& r : rows->arr) {
+        for (const Json& r : rows->array) {
           const std::string state =
-              r.get("state") != nullptr ? r.get("state")->string_or("?") : "?";
+              r.find("state") != nullptr ? r.find("state")->string_or("?") : "?";
           const bool ghost = state == "GrStale";
           if (shown >= 6 && !ghost) continue;  // ghosts always shown
-          const bool gr = r.get("gr") != nullptr && r.get("gr")->b;
-          const bool llgr = r.get("llgr") != nullptr && r.get("llgr")->b;
+          const bool gr = r.find("gr") != nullptr && r.find("gr")->boolean;
+          const bool llgr = r.find("llgr") != nullptr && r.find("llgr")->boolean;
           char row[192];
           std::snprintf(row, sizeof(row),
                         "  AS%-8d %-24s %-12s hold %-5d routes %-6d%s%s%s\n",
-                        r.get("asn") != nullptr
-                            ? static_cast<int>(r.get("asn")->number_or(0)) : 0,
-                        r.get("address") != nullptr
-                            ? r.get("address")->string_or("?").c_str() : "?",
+                        r.find("asn") != nullptr
+                            ? static_cast<int>(r.find("asn")->number_or(0)) : 0,
+                        r.find("address") != nullptr
+                            ? r.find("address")->string_or("?").c_str() : "?",
                         state.c_str(),
-                        r.get("hold") != nullptr
-                            ? static_cast<int>(r.get("hold")->number_or(0)) : 0,
-                        r.get("routes") != nullptr
-                            ? static_cast<int>(r.get("routes")->number_or(0)) : 0,
+                        r.find("hold") != nullptr
+                            ? static_cast<int>(r.find("hold")->number_or(0)) : 0,
+                        r.find("routes") != nullptr
+                            ? static_cast<int>(r.find("routes")->number_or(0)) : 0,
                         llgr ? " LLGR" : gr ? " GR" : "",
-                        r.get("bridged") != nullptr && r.get("bridged")->b
+                        r.find("bridged") != nullptr && r.find("bridged")->boolean
                             ? " bridge" : "",
                         ghost ? " GHOST" : "");
           const std::string text(row);
@@ -556,27 +441,27 @@ bool render_frame(const Client& client, const Style& style, std::string& out) {
     return true;
   }
   const int firing = static_cast<int>(
-      alerts.get("firing") != nullptr ? alerts.get("firing")->number_or(0) : 0);
+      alerts.find("firing") != nullptr ? alerts.find("firing")->number_or(0) : 0);
   const std::string firing_text = std::to_string(firing) + " firing";
   out += "alerts     " + (firing > 0 ? style.red(style.bold(firing_text)) : style.green(firing_text)) + "\n";
-  if (const Json* rules = alerts.get("rules");
-      rules != nullptr && rules->kind == Json::kArr) {
+  if (const Json* rules = alerts.find("rules");
+      rules != nullptr && rules->kind == JsonKind::kArray) {
     // Firing first, then pending, then ok — the interesting rows on top.
     auto rank = [](const std::string& state) {
       return state == "firing" ? 0 : state == "pending" ? 1 : 2;
     };
     std::vector<const Json*> sorted;
-    for (const Json& r : rules->arr) sorted.push_back(&r);
+    for (const Json& r : rules->array) sorted.push_back(&r);
     for (int pass = 0; pass < 3; ++pass) {
       for (const Json* r : sorted) {
         const std::string state =
-            r->get("state") != nullptr ? r->get("state")->string_or("?") : "?";
+            r->find("state") != nullptr ? r->find("state")->string_or("?") : "?";
         if (rank(state) != pass) continue;
         const std::string name =
-            r->get("name") != nullptr ? r->get("name")->string_or("?") : "?";
-        const double value = r->get("value") != nullptr ? r->get("value")->number_or(0) : 0;
+            r->find("name") != nullptr ? r->find("name")->string_or("?") : "?";
+        const double value = r->find("value") != nullptr ? r->find("value")->number_or(0) : 0;
         const double threshold =
-            r->get("threshold") != nullptr ? r->get("threshold")->number_or(0) : 0;
+            r->find("threshold") != nullptr ? r->find("threshold")->number_or(0) : 0;
         char row[192];
         std::snprintf(row, sizeof(row), "  %-8s %-28s value %-10s threshold %s\n",
                       state.c_str(), name.c_str(), fmt_si(value).c_str(),
